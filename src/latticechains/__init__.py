@@ -13,7 +13,6 @@ from .geometry import (
     TriangleSpec,
     convex_hull_chain,
     hypotenuse,
-    pick_check,
     polygon_stats,
     triangle_interior_points,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "lhs_main_via_D",
     "lhs_main_via_polygons",
     "match_signature",
-    "pick_check",
     "polygon_stats",
     "polygon_to_composition",
     "q_monomial",

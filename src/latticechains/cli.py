@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -94,11 +95,23 @@ def records_to_json(records) -> str:
     return json.dumps([r.to_json_obj() for r in records], indent=2) + "\n"
 
 
+def _load_record(number: int, parse, raw) -> PolygonRecord:
+    """parse(raw) builds record `number` (1-based); any malformed field, and
+    any disagreement with recomputation, is a ValueError naming it."""
+    try:
+        record = parse(raw)
+        record.validate()
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
+        raise ValueError(f"record {number}: {exc}") from exc
+    return record
+
+
 def records_from_json(text: str) -> list:
-    records = [PolygonRecord.from_json_obj(obj) for obj in json.loads(text)]
-    for r in records:
-        r.validate()
-    return records
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("expected a JSON list of records")
+    return [_load_record(number, PolygonRecord.from_json_obj, obj)
+            for number, obj in enumerate(data, start=1)]
 
 
 def records_to_csv(records) -> str:
@@ -117,14 +130,16 @@ def records_from_csv(text: str) -> list:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != CSV_COLUMNS:
         raise ValueError(f"expected header {','.join(CSV_COLUMNS)}")
-    records = []
-    for row in rows[1:]:
-        k, v_count, i_p, b_p, area2, u, exp2 = (int(c) for c in row[:7])
-        verts = tuple((int(x), int(y)) for x, y in json.loads(row[7]))
-        rec = PolygonRecord(verts, k, v_count, i_p, b_p, area2, u, exp2)
-        rec.validate()
-        records.append(rec)
-    return records
+    return [_load_record(number, _record_from_csv_row, row)
+            for number, row in enumerate(rows[1:], start=1)]
+
+
+def _record_from_csv_row(row: list) -> PolygonRecord:
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+    k, v_count, i_p, b_p, area2, u, exp2 = (int(c) for c in row[:7])
+    verts = tuple((int(x), int(y)) for x, y in json.loads(row[7]))
+    return PolygonRecord(verts, k, v_count, i_p, b_p, area2, u, exp2)
 
 
 def format_signature(sig) -> str:
@@ -142,6 +157,9 @@ def cmd_verify(args) -> int:
     if args.all_up_to is not None:
         if args.i is not None or args.n is not None:
             print("--all-up-to cannot be combined with --i/--n", file=sys.stderr)
+            return 2
+        if args.all_up_to < 2:
+            print(f"--all-up-to needs N >= 2, got {args.all_up_to}", file=sys.stderr)
             return 2
         pairs = [(i, n) for n in range(2, args.all_up_to + 1) for i in range(1, n)]
     else:
@@ -302,6 +320,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def z_threshold(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a finite threshold >= 0, got {text}")
+    return value
+
+
 def unit_fraction(text: str) -> Fraction:
     try:
         num, den = text.split("/")
@@ -339,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=positive_int, required=True)
     p_sim.add_argument("--seed", type=nonnegative_int, default=0)
     p_sim.add_argument("--jobs", type=positive_int, default=1)
-    p_sim.add_argument("--z-threshold", type=float, default=4.0)
+    p_sim.add_argument("--z-threshold", type=z_threshold, default=4.0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_explore = sub.add_parser("explore", help="search exponent multisets summing to 1")

@@ -2,7 +2,7 @@
 
 Everything here is integer arithmetic: orientation tests are cross
 products, areas are doubled to stay integral, and lattice counts come
-from gcds or brute-force scans. No floating point anywhere.
+from gcds and Pick's theorem. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -106,74 +106,10 @@ class ChainPolygon:
     def is_segment(self) -> bool:
         return len(self.vertices) == 2
 
-    def cycle(self) -> list[tuple[LatticePoint, LatticePoint]]:
-        """Directed edges of the closed boundary, counter-clockwise: the
-        chain edges followed by the closing edge (i,j)->(0,0)."""
-        verts = self.vertices
-        edges = list(zip(verts, verts[1:]))
-        edges.append((verts[-1], verts[0]))
-        return edges
-
 
 def hypotenuse(spec: TriangleSpec) -> ChainPolygon:
     """The 2-gon from (0,0) to (i,j)."""
     return ChainPolygon((LatticePoint(0, 0), LatticePoint(spec.i, spec.j)), spec)
-
-
-def segment_lattice_count(p: LatticePoint, r: LatticePoint) -> int:
-    """Number of lattice points on the closed segment [p, r]: gcd(|dx|,|dy|)+1."""
-    if p == r:
-        raise ValueError("degenerate segment: endpoints coincide")
-    return gcd(abs(r.x - p.x), abs(r.y - p.y)) + 1
-
-
-def doubled_area(poly: ChainPolygon) -> int:
-    """Twice the enclosed area, by the shoelace sum over the closed cycle.
-
-    Zero exactly for the degenerate 2-gon.
-    """
-    total = 0
-    for a, b in poly.cycle():
-        total += a.x * b.y - b.x * a.y
-    return total
-
-
-def boundary_count(poly: ChainPolygon) -> int:
-    """b(P): lattice points on the closed boundary, each counted once.
-
-    For the 2-gon the boundary is the segment itself: gcd(i,j)+1 points.
-    """
-    if poly.is_segment:
-        return gcd(poly.spec.i, poly.spec.j) + 1
-    # each edge contributes its lattice points minus one shared endpoint
-    return sum(gcd(abs(b.x - a.x), abs(b.y - a.y)) for a, b in poly.cycle())
-
-
-def interior_count(poly: ChainPolygon) -> int:
-    """i(P): lattice points strictly inside, by brute force over the bounding
-    box with exact orientation predicates; 0 for the 2-gon."""
-    if poly.is_segment:
-        return 0
-    edges = poly.cycle()
-    count = 0
-    for x in range(0, poly.spec.i + 1):
-        for y in range(0, poly.spec.j + 1):
-            p = LatticePoint(x, y)
-            if all(cross(a, b, p) > 0 for a, b in edges):
-                count += 1
-    return count
-
-
-def contains_point_closed(poly: ChainPolygon, p: LatticePoint) -> bool:
-    """Membership in the closed region of the polygon (boundary included).
-
-    For the 2-gon the closed region is the segment itself.
-    """
-    if poly.is_segment:
-        a, b = poly.vertices
-        return cross(a, b, p) == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x) \
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    return all(cross(a, b, p) >= 0 for a, b in poly.cycle())
 
 
 def triangle_interior_points(spec: TriangleSpec) -> list[LatticePoint]:
@@ -185,31 +121,6 @@ def triangle_interior_points(spec: TriangleSpec) -> list[LatticePoint]:
         for y in range(1, (spec.j * x - 1) // spec.i + 1):
             points.append(LatticePoint(x, y))
     return points
-
-
-def triangle_doubled_area(spec: TriangleSpec) -> int:
-    """2*area of the triangle itself (= i*j, computed by shoelace)."""
-    return _cycle_area2(spec.corners)
-
-
-def triangle_boundary_count(spec: TriangleSpec) -> int:
-    """b of the triangle treated as a polygon (= n + gcd(i,j))."""
-    return _cycle_boundary(spec.corners)
-
-
-def triangle_interior_count(spec: TriangleSpec) -> int:
-    """i of the triangle treated as a polygon."""
-    return len(triangle_interior_points(spec))
-
-
-def u_count(poly: ChainPolygon) -> int:
-    """Lattice points strictly inside the triangle but outside the closed
-    region of the polygon."""
-    return sum(
-        1
-        for p in triangle_interior_points(poly.spec)
-        if not contains_point_closed(poly, p)
-    )
 
 
 @dataclass(frozen=True)
@@ -225,13 +136,37 @@ class PolygonStats:
 
 
 def polygon_stats(poly: ChainPolygon) -> PolygonStats:
+    """The invariants in O(k), from one pass over the chain edges.
+
+    The closing edge (i,j)->(0,0) adds nothing to the shoelace sum, so
+    area2 is a sum over chain edges, and so is the edge-gcd sum G; the
+    hypotenuse adds gcd(i,j) boundary points. Pick's theorem then gives
+    i(P), and the same theorem on the triangle gives its interior count
+    I_T. The triangle interior points outside P are those not inside P and
+    not among the G - 1 chain points strictly between (0,0) and (i,j).
+    The 2-gon is the hypotenuse itself: no area, no interior, u = I_T.
+    """
+    spec = poly.spec
+    g = gcd(spec.i, spec.j)
+    triangle_interior = (spec.i * spec.j - spec.n - g + 2) // 2
+    if poly.is_segment:
+        return PolygonStats(k=1, v_count=2, interior=0, boundary=g + 1, area2=0,
+                            u=triangle_interior)
+    area2 = 0
+    edge_gcds = 0
+    verts = poly.vertices
+    for a, b in zip(verts, verts[1:]):
+        area2 += a.x * b.y - b.x * a.y
+        edge_gcds += gcd(b.x - a.x, b.y - a.y)
+    boundary = edge_gcds + g
+    interior = (area2 - boundary + 2) // 2
     return PolygonStats(
         k=poly.k,
         v_count=poly.v_count,
-        interior=interior_count(poly),
-        boundary=boundary_count(poly),
-        area2=doubled_area(poly),
-        u=u_count(poly),
+        interior=interior,
+        boundary=boundary,
+        area2=area2,
+        u=triangle_interior - interior - (edge_gcds - 1),
     )
 
 
@@ -255,74 +190,3 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
             hull.pop()
         hull.append(p)
     return ChainPolygon(tuple(hull), spec)
-
-
-def pick_check(poly) -> bool:
-    """Pick's theorem check: area2 == 2*interior + boundary - 2.
-
-    Accepts a ChainPolygon, or any simple polygon as a vertex sequence (for
-    oracle tests). Degenerate polygons (area 0, in particular 2-gons) are
-    rejected: Pick's formula does not hold for them.
-    """
-    if isinstance(poly, ChainPolygon):
-        area2 = doubled_area(poly)
-        if area2 == 0:
-            raise ValueError("Pick's theorem does not apply to degenerate polygons")
-        return area2 == 2 * interior_count(poly) + boundary_count(poly) - 2
-    verts = tuple(p if isinstance(p, LatticePoint) else LatticePoint(p[0], p[1]) for p in poly)
-    area2 = abs(_cycle_area2(verts))
-    if area2 == 0:
-        raise ValueError("Pick's theorem does not apply to degenerate polygons")
-    return area2 == 2 * _simple_interior_count(verts) + _cycle_boundary(verts) - 2
-
-
-# generic closed-cycle helpers, N vertices, no convexity assumed
-
-def _cycle_edges(verts):
-    return list(zip(verts, verts[1:] + verts[:1]))
-
-
-def _cycle_area2(verts) -> int:
-    return sum(a.x * b.y - b.x * a.y for a, b in _cycle_edges(verts))
-
-
-def _cycle_boundary(verts) -> int:
-    return sum(gcd(abs(b.x - a.x), abs(b.y - a.y)) for a, b in _cycle_edges(verts))
-
-
-def _on_segment(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
-    return (
-        cross(a, b, p) == 0
-        and min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
-
-
-def _point_in_simple_polygon(p: LatticePoint, verts) -> bool:
-    """Strict interior test for a simple polygon: boundary points are not
-    interior; otherwise exact even-odd counting of edge crossings of the
-    horizontal ray to the right of p."""
-    edges = _cycle_edges(verts)
-    for a, b in edges:
-        if _on_segment(p, a, b):
-            return False
-    inside = False
-    for a, b in edges:
-        if (a.y > p.y) != (b.y > p.y):
-            # x-coordinate of the crossing exceeds p.x iff num/d > 0
-            d = b.y - a.y
-            num = (a.x - p.x) * d + (p.y - a.y) * (b.x - a.x)
-            if num != 0 and (num > 0) == (d > 0):
-                inside = not inside
-    return inside
-
-
-def _simple_interior_count(verts) -> int:
-    xs = [v.x for v in verts]
-    ys = [v.y for v in verts]
-    count = 0
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if _point_in_simple_polygon(LatticePoint(x, y), verts):
-                count += 1
-    return count

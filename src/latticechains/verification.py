@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Optional
+from typing import Optional
 
 from .enumeration import (
     CompositionD,
-    d_to_c,
     enumerate_D,
     enumerate_polygons,
     pair_cross_sum,
@@ -70,20 +69,26 @@ def _q_minus_one_pow(m: int) -> QHalfPoly:
     return QHalfPoly.q_minus_one() ** m
 
 
+def _q_term(k: int, doubled: int) -> QHalfPoly:
+    """(q - 1)^(k-1) * q^(doubled/2): the term shape of both q-forms."""
+    return _q_minus_one_pow(k - 1) * q_monomial(doubled)
+
+
 def d_term_doubled_exponent(d: CompositionD) -> int:
     return 2 * (1 - d.k) + pair_cross_sum(d.steps) + pair_gcd_sum(d.steps)
 
 
-def _d_terms(i: int, n: int) -> Iterator[tuple[CompositionD, int]]:
-    for d in enumerate_D(i, n):
-        yield d, d_term_doubled_exponent(d)
+def _d_ledger(i: int, n: int) -> list:
+    """(element, doubled exponent, k) per D term, in enumeration order."""
+    return [(d, d_term_doubled_exponent(d), d.k) for d in enumerate_D(i, n)]
+
+
+def _d_form(ledger) -> QHalfPoly:
+    return sum((_q_term(k, doubled) for _, doubled, k in ledger), QHalfPoly.zero())
 
 
 def lhs_main_via_D(i: int, n: int) -> QHalfPoly:
-    total = QHalfPoly.zero()
-    for d, doubled in _d_terms(i, n):
-        total = total + _q_minus_one_pow(d.k - 1) * q_monomial(doubled)
-    return total
+    return _d_form(_d_ledger(i, n))
 
 
 def rhs_main(i: int, n: int) -> QHalfPoly:
@@ -96,15 +101,25 @@ def polygon_term_doubled_exponent(k: int, interior: int, boundary: int) -> int:
     return 2 * (interior + boundary - (k - 1))
 
 
+def _family_stats(spec: TriangleSpec) -> list:
+    return [polygon_stats(p) for p in enumerate_polygons(spec)]
+
+
+def _polygon_form(stats) -> QHalfPoly:
+    return sum(
+        (_q_term(s.k, polygon_term_doubled_exponent(s.k, s.interior, s.boundary)) for s in stats),
+        QHalfPoly.zero(),
+    )
+
+
+def _unit_form(stats, swap: bool) -> UnitPoly:
+    """Sum of x^u(P) * (1-x)^(v(P)-2), or of (1-x)^u(P) * x^(v(P)-2) if swap."""
+    pairs = ((s.v_count - 2, s.u) if swap else (s.u, s.v_count - 2) for s in stats)
+    return sum((term_x_pow_times_one_minus_x_pow(a, b) for a, b in pairs), UnitPoly.zero())
+
+
 def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
-    total = QHalfPoly.zero()
-    for p in enumerate_polygons(spec):
-        s = polygon_stats(p)
-        term = _q_minus_one_pow(s.k - 1) * q_monomial(
-            polygon_term_doubled_exponent(s.k, s.interior, s.boundary)
-        )
-        total = total + term
-    return total
+    return _polygon_form(_family_stats(spec))
 
 
 def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
@@ -113,42 +128,35 @@ def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
 
 def unit_sum(spec: TriangleSpec) -> UnitPoly:
     """Sum of x^u(P) * (1-x)^(v(P)-2) over the polygon family."""
-    total = UnitPoly.zero()
-    for p in enumerate_polygons(spec):
-        s = polygon_stats(p)
-        total = total + term_x_pow_times_one_minus_x_pow(s.u, s.v_count - 2)
-    return total
+    return _unit_form(_family_stats(spec), swap=False)
 
 
 def unit_sum_process(spec: TriangleSpec) -> UnitPoly:
     """Same family, factors swapped: sum of (1-x)^u(P) * x^(v(P)-2)."""
-    total = UnitPoly.zero()
-    for p in enumerate_polygons(spec):
-        s = polygon_stats(p)
-        total = total + term_x_pow_times_one_minus_x_pow(s.v_count - 2, s.u)
-    return total
+    return _unit_form(_family_stats(spec), swap=True)
 
 
 def verify_all(i: int, n: int) -> IdentityReport:
-    """Run all five identity checks; a violation is reported, never raised."""
+    """Run all five identity checks; a violation is reported, never raised.
+
+    Each family is enumerated once, with one polygon_stats call per polygon.
+    """
     if i < 1 or n <= i:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
     spec = TriangleSpec(i, n - i)
     g = gcd(spec.i, spec.j)
 
-    ledger = []
-    lhs = QHalfPoly.zero()
-    for d, doubled in _d_terms(i, n):
-        ledger.append((d, doubled, d.k))
-        lhs = lhs + _q_minus_one_pow(d.k - 1) * q_monomial(doubled)
+    ledger = _d_ledger(i, n)
+    lhs = _d_form(ledger)
     rhs = rhs_main(i, n)
 
-    poly_lhs = lhs_main_via_polygons(spec)
+    stats = _family_stats(spec)
+    poly_lhs = _polygon_form(stats)
     results = (
         ("d_form", lhs == rhs),
         ("polygon_form", poly_lhs == rhs_main_via_polygons(spec)),
-        ("unit_sum", unit_sum(spec) == UnitPoly.one()),
-        ("unit_sum_process", unit_sum_process(spec) == UnitPoly.one()),
+        ("unit_sum", _unit_form(stats, swap=False) == UnitPoly.one()),
+        ("unit_sum_process", _unit_form(stats, swap=True) == UnitPoly.one()),
         ("form_consistency", poly_lhs == lhs * q_monomial(2 + g)),
     )
     failed = next((name for name, ok in results if not ok), None)

@@ -28,7 +28,7 @@ from latticechains.explorer import (
     search_unit_multisets,
     triangle_signature,
 )
-from latticechains.geometry import TriangleSpec, polygon_stats, triangle_interior_points
+from latticechains.geometry import TriangleSpec, polygon_stats
 from latticechains.montecarlo import SimulationConfig, compare, simulate
 from latticechains.polyalgebra import QHalfPoly, UnitPoly, q_monomial
 from latticechains.verification import (
@@ -38,6 +38,7 @@ from latticechains.verification import (
     unit_sum_process,
 )
 
+from scan_oracles import u_count
 from test_enumeration import oracle_D
 from test_geometry import oracle_boundary_scan, oracle_interior_scan, random_hull
 
@@ -145,11 +146,13 @@ def test_criterion_5_pick_formula_with_scan_oracles():
                 checked += 1
                 s = polygon_stats(p)
                 verts = list(p.vertices)
-                if s.interior != oracle_interior_scan(verts):
+                interior = oracle_interior_scan(verts)
+                boundary = oracle_boundary_scan(verts)
+                if s.interior != interior:
                     failures.append((i, j, p.vertices, "interior"))
-                if s.boundary != oracle_boundary_scan(verts):
+                if s.boundary != boundary:
                     failures.append((i, j, p.vertices, "boundary"))
-                if s.area2 != 2 * s.interior + s.boundary - 2:
+                if s.area2 != 2 * interior + boundary - 2:
                     failures.append((i, j, p.vertices, "pick"))
     rng = random.Random(52901)
     randomized = 0
@@ -159,7 +162,7 @@ def test_criterion_5_pick_formula_with_scan_oracles():
             continue
         randomized += 1
         s = polygon_stats(poly)
-        if s.area2 != 2 * s.interior + s.boundary - 2:
+        if s.area2 != 2 * oracle_interior_scan(list(poly.vertices)) + s.boundary - 2:
             failures.append((poly.vertices, "pick/random"))
     report(5, failures, f"{checked} enumerated + {randomized} random chains")
 
@@ -169,20 +172,11 @@ def test_criterion_6_u_accounting():
     checked = 0
     for i in range(1, 9):
         for j in range(1, 9):
-            spec = TriangleSpec(i, j)
-            n = i + j
-            g = gcd(i, j)
-            tri_interior = len(triangle_interior_points(spec))
-            tri_boundary = i + j + g  # legs and hypotenuse, corners once
-            if tri_boundary != n + g:
-                failures.append((i, j, "triangle boundary"))
-            for p in enumerate_polygons(spec):
+            for p in enumerate_polygons(TriangleSpec(i, j)):
                 checked += 1
-                s = polygon_stats(p)
-                expected_u = tri_interior + tri_boundary - (n - 1) - (s.interior + s.boundary)
-                if s.u != expected_u:
+                if polygon_stats(p).u != u_count(p):
                     failures.append((i, j, p.vertices, "u"))
-    report(6, failures, f"{checked} polygons, u-accounting exact")
+    report(6, failures, f"{checked} polygons, u equals the scan count")
 
 
 def test_criterion_7_monte_carlo_cross_check():

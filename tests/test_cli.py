@@ -19,6 +19,9 @@ from latticechains.cli import (
 from latticechains.geometry import TriangleSpec
 
 
+CSV_HEADER_LINE = ",".join(CSV_COLUMNS) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -43,6 +46,7 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--i", "2")[0] == 2
     assert run(capsys, "verify")[0] == 2
     assert run(capsys, "verify", "--i", "1", "--n", "2", "--all-up-to", "5")[0] == 2
+    assert run(capsys, "verify", "--all-up-to", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
 
 
@@ -88,6 +92,30 @@ def test_record_validation_catches_tampering():
         records_from_json(text)
 
 
+GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, "bP": 2, "area2": 0, "u": 0'
+
+
+@pytest.mark.parametrize("load,text", [
+    (records_from_csv, CSV_HEADER_LINE + "1,2,3,4,5,6,7\n"),
+    (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,0,4,"[[0,0],[1,1]]",extra\n'),
+    (records_from_csv, CSV_HEADER_LINE + "1,2,0,2,0,0,4,[]\n"),
+    (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,0,4,"[[0,0],[1]]"\n'),
+    (records_from_json, "[{}]"),
+    (records_from_json, "[1]"),
+    (records_from_json, "[[]]"),
+    (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": Infinity}]'),
+], ids=["csv-short-row", "csv-long-row", "csv-no-vertices", "csv-bad-vertex",
+        "json-empty-object", "json-number", "json-list", "json-infinity"])
+def test_loaders_name_the_malformed_record(load, text):
+    with pytest.raises(ValueError, match="record 1: "):
+        load(text)
+
+
+def test_json_loader_rejects_non_list():
+    with pytest.raises(ValueError):
+        records_from_json('{"k": 1}')
+
+
 def test_csv_loader_rejects_wrong_header():
     good = records_to_csv(records_for(TriangleSpec(2, 3)))
     with pytest.raises(ValueError):
@@ -110,6 +138,14 @@ def test_simulate_rejects_bad_fractions(capsys):
                "--trials", "10")[0] == 2
     assert run(capsys, "simulate", "--i", "2", "--j", "3", "--x", "0/5",
                "--trials", "10")[0] == 2
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "1e400"])
+def test_simulate_rejects_bad_z_threshold(capsys, threshold):
+    code, _, err = run(capsys, "simulate", "--i", "2", "--j", "3", "--x", "1/2",
+                       "--trials", "10", f"--z-threshold={threshold}")
+    assert code == 2
+    assert "threshold" in err
 
 
 def test_simulate_z_violation_exits_one(capsys):

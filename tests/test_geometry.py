@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import (
     ChainPolygon,
     LatticePoint,
     TriangleSpec,
-    boundary_count,
-    contains_point_closed,
     convex_hull_chain,
-    doubled_area,
     hypotenuse,
+    polygon_stats,
+    triangle_interior_points,
+)
+
+from scan_oracles import (
+    contains_point_closed,
     interior_count,
     pick_check,
     segment_lattice_count,
     triangle_boundary_count,
     triangle_doubled_area,
     triangle_interior_count,
-    triangle_interior_points,
     u_count,
 )
 
@@ -154,21 +157,22 @@ def test_segment_lattice_count_matches_scan(ax, ay, bx, by):
 
 
 def test_doubled_area_examples():
-    assert doubled_area(hypotenuse(TriangleSpec(2, 3))) == 0
-    assert doubled_area(chain(TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3))) == 1
-    assert doubled_area(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 5
+    assert polygon_stats(hypotenuse(TriangleSpec(2, 3))).area2 == 0
+    assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3))).area2 == 1
+    assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))).area2 == 5
 
 
 def test_boundary_count_examples():
-    assert boundary_count(hypotenuse(TriangleSpec(2, 3))) == 2
-    assert boundary_count(chain(TriangleSpec(3, 4), (0, 0), (2, 2), (3, 4))) == 4
-    assert boundary_count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 3
+    assert polygon_stats(hypotenuse(TriangleSpec(2, 3))).boundary == 2
+    assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 2), (3, 4))).boundary == 4
+    assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))).boundary == 3
 
 
 def test_interior_count_examples():
-    assert interior_count(hypotenuse(TriangleSpec(5, 7))) == 0
-    assert interior_count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 2
-    assert interior_count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 0
+    for count in (interior_count, lambda p: polygon_stats(p).interior):
+        assert count(hypotenuse(TriangleSpec(5, 7))) == 0
+        assert count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 2
+        assert count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 0
 
 
 def test_triangle_interior_points_examples():
@@ -190,9 +194,10 @@ def test_triangle_interior_points_match_scan(i, j):
 
 
 def test_u_count_examples():
-    assert u_count(hypotenuse(TriangleSpec(2, 3))) == 1
-    assert u_count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 0
-    assert u_count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 2
+    for count in (u_count, lambda p: polygon_stats(p).u):
+        assert count(hypotenuse(TriangleSpec(2, 3))) == 1
+        assert count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 0
+        assert count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 2
 
 
 def test_convex_hull_chain_examples():
@@ -244,22 +249,40 @@ def test_chain_polygon_validation():
         ChainPolygon((P(0, 0),), spec)
 
 
+def stats_mismatches(poly):
+    """Fields of polygon_stats(poly) that disagree with the scan oracles."""
+    s = polygon_stats(poly)
+    verts = list(poly.vertices)
+    if poly.is_segment:
+        expected = {"interior": 0, "boundary": oracle_segment_points(*verts), "area2": 0}
+    else:
+        expected = {
+            "interior": oracle_interior_scan(verts),
+            "boundary": oracle_boundary_scan(verts),
+            "area2": oracle_area2_trapezoid(verts),
+        }
+    expected["u"] = u_count(poly)
+    return [name for name, value in expected.items() if getattr(s, name) != value]
+
+
 def test_counts_match_scan_oracles_on_random_hulls():
     rng = random.Random(20260819)
     seen_nondegenerate = 0
     for _ in range(200):
         poly, _, _ = random_hull(rng)
-        assert boundary_count(poly) == (
-            oracle_boundary_scan(poly.vertices)
-            if not poly.is_segment
-            else oracle_segment_points(*poly.vertices)
-        )
-        if poly.is_segment:
-            continue
-        seen_nondegenerate += 1
-        assert doubled_area(poly) == oracle_area2_trapezoid(list(poly.vertices))
-        assert interior_count(poly) == oracle_interior_scan(list(poly.vertices))
+        assert stats_mismatches(poly) == [], poly
+        seen_nondegenerate += not poly.is_segment
     assert seen_nondegenerate > 100
+
+
+def test_polygon_stats_match_scan_oracles_on_every_family_to_10():
+    checked = 0
+    for i in range(1, 11):
+        for j in range(1, 11):
+            for poly in enumerate_polygons(TriangleSpec(i, j)):
+                assert stats_mismatches(poly) == [], poly
+                checked += 1
+    assert checked == 3958
 
 
 def test_pick_theorem_on_random_hulls():
@@ -269,7 +292,9 @@ def test_pick_theorem_on_random_hulls():
         poly, _, _ = random_hull(rng)
         if poly.is_segment:
             continue
-        assert doubled_area(poly) == 2 * interior_count(poly) + boundary_count(poly) - 2
+        s = polygon_stats(poly)
+        assert s.area2 == 2 * interior_count(poly) + s.boundary - 2
+        assert pick_check(poly)
         checked += 1
     assert checked > 100
 
@@ -278,13 +303,16 @@ def test_u_accounting_on_random_hulls():
     rng = random.Random(13572468)
     for _ in range(200):
         poly, _, spec = random_hull(rng)
-        expected = (
+        scanned = u_count(poly)
+        assert polygon_stats(poly).u == scanned
+        boundary = (oracle_segment_points(*poly.vertices) if poly.is_segment
+                    else oracle_boundary_scan(list(poly.vertices)))
+        assert scanned == (
             triangle_interior_count(spec)
             + triangle_boundary_count(spec)
             - (spec.n - 1)
-            - (interior_count(poly) + boundary_count(poly))
+            - (interior_count(poly) + boundary)
         )
-        assert u_count(poly) == expected
 
 
 @pytest.mark.parametrize("i", range(1, 13))
@@ -321,5 +349,6 @@ def test_hull_region_contains_chosen_points():
 
 def test_no_floats_in_stats():
     poly = chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))
-    for value in (doubled_area(poly), boundary_count(poly), interior_count(poly), u_count(poly)):
+    s = polygon_stats(poly)
+    for value in (s.area2, s.boundary, s.interior, s.u):
         assert isinstance(value, int)
