@@ -50,6 +50,7 @@ from .explorer import (
     match_signature,
     search_unit_multisets,
     triangle_signature,
+    triangle_signatures,
 )
 
 __all__ = [
@@ -89,6 +90,7 @@ __all__ = [
     "term_x_pow_times_one_minus_x_pow",
     "triangle_interior_points",
     "triangle_signature",
+    "triangle_signatures",
     "unit_sum",
     "unit_sum_process",
     "verify_all",

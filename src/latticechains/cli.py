@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, LatticePoint, TriangleSpec, polygon_stats, triangle_interior_points
-from .montecarlo import SimulationConfig, compare, simulate
-from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signature
+from .montecarlo import STREAM, SimulationConfig, compare, simulate
+from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import polygon_term_doubled_exponent, verify_all
 
 CSV_COLUMNS = ["k", "vCount", "iP", "bP", "area2", "u", "exponentDoubled", "vertices"]
@@ -68,14 +68,14 @@ class PolygonRecord:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolygonRecord":
         return cls(
-            vertices=tuple((int(x), int(y)) for x, y in obj["vertices"]),
-            k=int(obj["k"]),
-            v_count=int(obj["vCount"]),
-            i_p=int(obj["iP"]),
-            b_p=int(obj["bP"]),
-            area2=int(obj["area2"]),
-            u=int(obj["u"]),
-            exponent_doubled=int(obj["exponentDoubled"]),
+            vertices=tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"]),
+            k=_json_int(obj["k"]),
+            v_count=_json_int(obj["vCount"]),
+            i_p=_json_int(obj["iP"]),
+            b_p=_json_int(obj["bP"]),
+            area2=_json_int(obj["area2"]),
+            u=_json_int(obj["u"]),
+            exponent_doubled=_json_int(obj["exponentDoubled"]),
         )
 
     def validate(self) -> None:
@@ -85,6 +85,13 @@ class PolygonRecord:
         poly = ChainPolygon(tuple(LatticePoint(x, y) for x, y in self.vertices), spec)
         if PolygonRecord.from_polygon(poly) != self:
             raise ValueError(f"record fields disagree with recomputation: {self}")
+
+
+def _json_int(value) -> int:
+    """A JSON integer as written; int() would also take 2.7, "2" or true."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def records_for(spec: TriangleSpec) -> list:
@@ -207,7 +214,8 @@ def cmd_simulate(args) -> int:
     table = simulate(config, jobs=args.jobs)
     report = compare(table, config, z_threshold=args.z_threshold)
 
-    print(f"triangle ({args.i},{args.j}), x = {config.x}, trials = {config.trials}, seed = {config.seed}")
+    print(f"triangle ({args.i},{args.j}), x = {config.x}, trials = {config.trials}, "
+          f"seed = {config.seed}, stream = {STREAM}")
     print(f"{'polygon':<36} {'count':>9} {'empirical':>10} {'exact':>10} {'z':>8}")
     for row in report.rows:
         name = format_vertices(row.polygon)
@@ -238,16 +246,11 @@ def cmd_explore(args) -> int:
         found = seen
     print(f"search bounds: a <= {args.max_a}, b <= {args.max_b}, size <= {args.max_size}")
     print(f"found {len(found)} unit multiset(s)")
+    signatures = triangle_signatures(args.max_m, args.max_n) if found else {}
+    if args.collapse_sets:
+        signatures = {mn: sig.as_set() for mn, sig in signatures.items()}
     for sig in found:
-        if args.collapse_sets:
-            matches = [
-                (m, n)
-                for m in range(1, args.max_m + 1)
-                for n in range(1, args.max_n + 1)
-                if triangle_signature(m, n).as_set() == sig
-            ]
-        else:
-            matches = match_signature(sig, args.max_m, args.max_n)
+        matches = match_signature(sig, args.max_m, args.max_n, signatures)
         shown = ", ".join(f"({m},{n})" for m, n in matches) if matches else "none"
         print(f"{format_signature(sig)}")
         print(f"  triangles up to ({args.max_m},{args.max_n}): {shown}")

@@ -123,13 +123,22 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
     return sorted(found, key=lambda s: (len(s), s.pairs))
 
 
-def match_signature(sig: Signature, max_m: int, max_n: int) -> list:
-    """All (m, n) within bounds whose triangle signature equals sig."""
+def triangle_signatures(max_m: int, max_n: int) -> dict:
+    """{(m, n): triangle_signature(m, n)} for every triangle within bounds,
+    in row-major (m, n) order."""
     if max_m < 1 or max_n < 1:
         raise ValueError("triangle bounds must be >= 1")
-    return [
-        (m, n)
-        for m in range(1, max_m + 1)
-        for n in range(1, max_n + 1)
-        if triangle_signature(m, n) == sig
-    ]
+    return {(m, n): triangle_signature(m, n)
+            for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
+
+
+def match_signature(sig: Signature, max_m: int, max_n: int, signatures=None) -> list:
+    """All (m, n) within bounds whose triangle signature equals sig.
+
+    `signatures` is a map from triangle_signatures to filter instead of
+    computing one, so a caller matching many multisets computes each
+    signature once; its values may be collapsed with as_set()."""
+    if signatures is None:
+        signatures = triangle_signatures(max_m, max_n)
+    return [(m, n) for (m, n), other in signatures.items()
+            if other == sig and m <= max_m and n <= max_n]

@@ -23,16 +23,6 @@ class LatticePoint:
             raise TypeError(f"lattice coordinates must be int, got ({self.x!r}, {self.y!r})")
 
 
-def cross(o: LatticePoint, a: LatticePoint, b: LatticePoint) -> int:
-    """Cross product (a-o) x (b-o).
-
-    > 0: b lies strictly left of the ray o->a (counter-clockwise turn)
-    < 0: strictly right (clockwise turn)
-    = 0: o, a, b collinear
-    """
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 @dataclass(frozen=True)
 class TriangleSpec:
     """The right triangle with corners (0,0), (i,0), (i,j); its hypotenuse
@@ -177,16 +167,23 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
     The chosen points must be strictly interior to the triangle; they then
     all lie strictly below the hypotenuse, so the hull's upper boundary is
     the hypotenuse itself and its lower boundary is the monotone lower hull
-    computed here. Collinear non-extreme points are dropped. An empty
-    selection yields the 2-gon.
+    computed here, on (x, y) tuples. Collinear non-extreme points are
+    dropped. An empty selection yields the 2-gon.
     """
+    coords = {(0, 0), (spec.i, spec.j)}
     for p in chosen:
         if not spec.contains_interior(p):
             raise ValueError(f"point {p} is not strictly interior to the triangle")
-    points = sorted(set(chosen) | {LatticePoint(0, 0), LatticePoint(spec.i, spec.j)})
-    hull: list[LatticePoint] = []
-    for p in points:
-        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
+        coords.add((p.x, p.y))
+    hull: list[tuple[int, int]] = []
+    for point in sorted(coords):
+        x, y = point
+        # pop the last hull point while it and its predecessor do not turn left to (x, y)
+        while len(hull) >= 2:
+            ox, oy = hull[-2]
+            ax, ay = hull[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
             hull.pop()
-        hull.append(p)
-    return ChainPolygon(tuple(hull), spec)
+        hull.append(point)
+    return ChainPolygon(tuple(LatticePoint(x, y) for x, y in hull), spec)

@@ -7,21 +7,27 @@ the resulting polygon. The law of the hull is
 and the empirical table is compared row by row against those exact
 rationals via binomial z-scores.
 
-Randomness contract: the trial with index t under seed s draws 64-bit
-words from sha256(s, t, block counter), so a trial's outcome depends only
-on (seed, trial index). Splitting the trial range across processes
-changes nothing; merged tallies are identical to the serial run. Coins
-are exact: a word w accepts iff w mod den < num, after rejecting the
-top sliver of the 2^64 range so every residue is equally likely.
+Randomness contract (stream 2): with x = num/den and n interior points,
+let M = den^n. Trial t under seed s reads nblocks = ceil((bits(M) + 64) /
+256) blocks sha256(s, t, b), each packed as three big-endian 64-bit
+words, and concatenates their digests into one integer r, first block
+most significant. r is accepted if r < limit, the largest multiple of M
+below 2^(256 nblocks); otherwise the trial reads the next nblocks blocks
+(this happens with probability below 2^-64). Then r mod M is uniform on
+range(M), and point p (in triangle_interior_points order) is chosen iff
+base-den digit p of r mod M is < num: n independent exact coins of bias
+num/den, with no floats anywhere. A trial's outcome depends only on
+(seed, trial index), so splitting the trial range across processes
+changes nothing; merged tallies are identical to the serial run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from hashlib import sha256
 from math import inf, sqrt
 
 from .enumeration import enumerate_polygons
@@ -62,30 +68,66 @@ def exact_prob(p: ChainPolygon, x) -> Fraction:
     return (1 - x) ** s.u * x ** (s.v_count - 2)
 
 
+STREAM = 2  # version of the randomness contract above, printed with the results
+
+# Coins are decoded a chunk of digits at a time through a table of at most
+# this many entries; the stream itself does not depend on the chunk width.
+TABLE_SIZE = 4096
+
+
+def mask_decoder(num: int, den: int, npoints: int):
+    """The map from r in range(den**npoints) to the chosen-point bitmask:
+    bit p is set iff base-den digit p of r (least significant first) is
+    < num. The digits are read `width` at a time, the most with
+    den**width <= TABLE_SIZE, through a table mapping each chunk value to
+    its mask fragment; with one digit per chunk the fragment is the coin."""
+    width = 1
+    while den ** (width + 1) <= TABLE_SIZE:
+        width += 1
+    if width == 1:
+        fragment = num.__gt__  # no table: den may be far larger than TABLE_SIZE
+    else:
+        table = [0]
+        for digit in range(width):
+            table = [frag | (d < num) << digit for d in range(den) for frag in table]
+        fragment = table.__getitem__
+    chunk = den ** width
+    shifts = range(0, npoints, width)
+    full = (1 << npoints) - 1
+
+    def decode(r: int) -> int:
+        mask = 0
+        for shift in shifts:
+            r, value = divmod(r, chunk)
+            mask |= fragment(value) << shift
+        return mask & full  # drops the zero digits past npoints in the last chunk
+
+    return decode
+
+
 def _count_masks(seed: int, start: int, stop: int, num: int, den: int, npoints: int) -> dict:
-    """Tally chosen-point bitmasks for trials start..stop-1."""
-    limit = (2 ** 64 // den) * den
-    pack = struct.pack
-    unpack = struct.unpack
-    sha = hashlib.sha256
+    """Tally chosen-point bitmasks for trials start..stop-1 (stream 2)."""
+    modulus = den ** npoints
+    nblocks = -(-(modulus.bit_length() + 64) // 256)
+    span = 1 << (256 * nblocks)
+    limit = span - span % modulus
+    decode = mask_decoder(num, den, npoints)
+    pack = struct.Struct(">QQQ").pack
+    from_bytes = int.from_bytes
+    sha = sha256
     tallies: dict[int, int] = {}
     for trial in range(start, stop):
-        mask = 0
-        words: tuple = ()
-        widx = 0
         block = 0
-        for point in range(npoints):
-            while True:
-                if widx >= len(words):
-                    words = unpack(">4Q", sha(pack(">QQQ", seed, trial, block)).digest())
-                    widx = 0
-                    block += 1
-                w = words[widx]
-                widx += 1
-                if w < limit:
-                    break
-            if w % den < num:
-                mask |= 1 << point
+        while True:
+            if nblocks == 1:  # the common case, up to ~120 points at den 3: no join
+                r = from_bytes(sha(pack(seed, trial, block)).digest(), "big")
+            else:
+                r = from_bytes(b"".join([sha(pack(seed, trial, b)).digest()
+                                         for b in range(block, block + nblocks)]), "big")
+            if r < limit:
+                break
+            block += nblocks
+        mask = decode(r % modulus)
         tallies[mask] = tallies.get(mask, 0) + 1
     return tallies
 

@@ -8,7 +8,13 @@ polygon_stats, which derives i(P) and u(P) from Pick's theorem.
 
 from math import gcd
 
-from latticechains.geometry import ChainPolygon, LatticePoint, TriangleSpec, cross, triangle_interior_points
+from latticechains.geometry import ChainPolygon, LatticePoint, TriangleSpec, triangle_interior_points
+
+
+def cross(o: LatticePoint, a: LatticePoint, b: LatticePoint) -> int:
+    """Cross product (a-o) x (b-o): > 0 when b lies strictly left of the
+    ray o->a, < 0 strictly right, 0 collinear."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def segment_lattice_count(p: LatticePoint, r: LatticePoint) -> int:

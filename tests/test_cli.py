@@ -104,8 +104,11 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_json, "[1]"),
     (records_from_json, "[[]]"),
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": Infinity}]'),
+    (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": 4.5}]'),
+    (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": "4"}]'),
 ], ids=["csv-short-row", "csv-long-row", "csv-no-vertices", "csv-bad-vertex",
-        "json-empty-object", "json-number", "json-list", "json-infinity"])
+        "json-empty-object", "json-number", "json-list", "json-infinity",
+        "json-float", "json-string"])
 def test_loaders_name_the_malformed_record(load, text):
     with pytest.raises(ValueError, match="record 1: "):
         load(text)
@@ -165,6 +168,22 @@ def test_simulate_deterministic_output(capsys):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_simulate_stream_2_golden_output(capsys):
+    code, out, _ = run(capsys, "simulate", "--i", "3", "--j", "4", "--x", "1/3",
+                       "--trials", "2000", "--seed", "9")
+    assert code == 0
+    assert out == (
+        "triangle (3,4), x = 1/3, trials = 2000, seed = 9, stream = 2\n"
+        "polygon                                  count  empirical      exact        z\n"
+        "(0,0)-(3,4)                                548   0.274000       8/27   -2.184\n"
+        "(0,0)-(1,1)-(3,4)                          276   0.138000       4/27   -1.278\n"
+        "(0,0)-(2,1)-(3,4)                          693   0.346500        1/3   +1.249\n"
+        "(0,0)-(2,2)-(3,4)                          483   0.241500        2/9   +2.074\n"
+        "exact probabilities sum to 1: yes\n"
+        "no |z| above threshold 4.0\n"
+    )
 
 
 def test_simulate_parallel_output_matches_serial(capsys):

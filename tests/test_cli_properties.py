@@ -1,0 +1,156 @@
+"""Property tests for what the CLI reads from outside: record files and
+command-line values. Every input is either accepted or refused with a
+ValueError; none may escape as another exception."""
+
+import argparse
+import csv
+import io
+import json
+import math
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from latticechains.cli import (
+    CSV_COLUMNS,
+    nonnegative_int,
+    positive_int,
+    records_for,
+    records_from_csv,
+    records_from_json,
+    records_to_csv,
+    records_to_json,
+    unit_fraction,
+    z_threshold,
+)
+from latticechains.geometry import TriangleSpec
+
+# derandomized so the suite runs the same examples every time
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+RECORDS = records_for(TriangleSpec(3, 5))
+CSV_ROWS = list(csv.reader(io.StringIO(records_to_csv(RECORDS))))[1:]
+JSON_OBJS = json.loads(records_to_json(RECORDS))
+JSON_KEYS = list(JSON_OBJS[0])
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def same_integer(value, original) -> bool:
+    """Whether the loader's int() would read `value` as `original`."""
+    try:
+        return int(value) == original
+    except (ValueError, TypeError, OverflowError):
+        return False
+
+
+def csv_text(rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def refuses_naming(load, text: str, number: int) -> bool:
+    try:
+        load(text)
+    except ValueError as exc:
+        return str(exc).startswith(f"record {number}: ")
+    return False
+
+
+@SETTINGS
+@given(st.data())
+def test_csv_loader_names_a_tampered_field(data):
+    index = data.draw(st.integers(0, len(CSV_ROWS) - 1))
+    column = data.draw(st.integers(0, len(CSV_COLUMNS) - 1))
+    row = list(CSV_ROWS[index])
+    if column < 7:
+        value = data.draw(st.integers().map(str) | TEXT)
+        assume(not same_integer(value, int(row[column])))
+    else:
+        value = data.draw(st.one_of(TEXT, JSON_VALUES.map(json.dumps)))
+        assume(value != row[column])
+    row[column] = value
+    rows = [*CSV_ROWS[:index], row, *CSV_ROWS[index + 1:]]
+    assert refuses_naming(records_from_csv, csv_text(rows), index + 1)
+
+
+@SETTINGS
+@given(st.integers(0, len(CSV_ROWS) - 1), st.integers(0, len(CSV_COLUMNS) + 3))
+def test_csv_loader_names_a_row_of_the_wrong_length(index, length):
+    assume(length != len(CSV_COLUMNS))
+    row = (CSV_ROWS[index] * 2)[:length]
+    rows = [*CSV_ROWS[:index], row, *CSV_ROWS[index + 1:]]
+    assert refuses_naming(records_from_csv, csv_text(rows), index + 1)
+
+
+@SETTINGS
+@given(st.data())
+def test_json_loader_names_a_tampered_field(data):
+    index = data.draw(st.integers(0, len(JSON_OBJS) - 1))
+    key = data.draw(st.sampled_from(JSON_KEYS))
+    obj = dict(JSON_OBJS[index])
+    if data.draw(st.booleans()):
+        del obj[key]
+    else:
+        value = data.draw(JSON_VALUES)
+        assume(not (value == obj[key] and type(value) is type(obj[key])))
+        obj[key] = value
+    objs = [*JSON_OBJS[:index], obj, *JSON_OBJS[index + 1:]]
+    assert refuses_naming(records_from_json, json.dumps(objs), index + 1)
+
+
+@SETTINGS
+@given(st.integers(0, len(JSON_OBJS) - 1), JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+def test_json_loader_names_a_record_that_is_not_an_object(index, value):
+    objs = [*JSON_OBJS[:index], value, *JSON_OBJS[index + 1:]]
+    assert refuses_naming(records_from_json, json.dumps(objs), index + 1)
+
+
+def accepts_or_refuses(parse, text: str):
+    """parse(text), or None when it refuses the way argparse reports."""
+    try:
+        return parse(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        return None
+
+
+ARG_TEXT = st.one_of(
+    TEXT,
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    st.tuples(st.integers(), st.integers()).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+@SETTINGS
+@given(ARG_TEXT)
+def test_count_arguments_accept_or_refuse(text):
+    value = accepts_or_refuses(positive_int, text)
+    assert value is None or (type(value) is int and value >= 1)
+    value = accepts_or_refuses(nonnegative_int, text)
+    assert value is None or (type(value) is int and value >= 0)
+
+
+@SETTINGS
+@given(ARG_TEXT)
+def test_z_threshold_accepts_or_refuses(text):
+    value = accepts_or_refuses(z_threshold, text)
+    assert value is None or (type(value) is float and 0 <= value < math.inf)
+
+
+@SETTINGS
+@given(ARG_TEXT)
+def test_unit_fraction_accepts_or_refuses(text):
+    value = accepts_or_refuses(unit_fraction, text)
+    assert value is None or (type(value) is Fraction and 0 < value < 1)

@@ -1,5 +1,8 @@
-"""Process simulation: exact probabilities, determinism, closure."""
+"""Process simulation: exact probabilities, determinism, closure, stream 2."""
 
+import hashlib
+import struct
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,11 +10,14 @@ import pytest
 from latticechains.enumeration import composition_to_polygon, enumerate_polygons
 from latticechains.enumeration import CompositionC
 from latticechains.geometry import ChainPolygon, LatticePoint, TriangleSpec, hypotenuse
+from latticechains import montecarlo
 from latticechains.montecarlo import (
     FrequencyTable,
     SimulationConfig,
+    _count_masks,
     compare,
     exact_prob,
+    mask_decoder,
     simulate,
 )
 
@@ -83,10 +89,11 @@ def test_simulate_is_deterministic():
 
 
 def test_parallel_matches_serial():
-    cfg = SimulationConfig(TriangleSpec(4, 5), Fraction(1, 2), 2000, 99)
-    serial = simulate(cfg, jobs=1)
-    parallel = simulate(cfg, jobs=3)
-    assert serial.counts == parallel.counts
+    for i, j, x, seed in [(4, 5, Fraction(1, 2), 99), (5, 7, Fraction(1, 3), 7)]:
+        cfg = SimulationConfig(TriangleSpec(i, j), x, 2000, seed)
+        serial = simulate(cfg, jobs=1)
+        parallel = simulate(cfg, jobs=3)
+        assert serial.counts == parallel.counts
 
 
 def test_different_seeds_differ():
@@ -151,3 +158,117 @@ def test_compare_rejects_wrong_trial_total():
     cfg = SimulationConfig(spec, Fraction(1, 2), 10, 0)
     with pytest.raises(ValueError):
         compare(FrequencyTable({hypotenuse(spec): 9}), cfg)
+
+
+# ---------------------------------------------------------------------------
+# stream 2: one uniform draw per trial, decoded into base-den digit coins
+
+
+def reference_masks(seed, trials, num, den, npoints, sha=hashlib.sha256):
+    """The stream-2 contract read literally: whole-draw rejection, then one
+    base-den digit per point, least significant first."""
+    modulus = den ** npoints
+    nblocks = -(-(modulus.bit_length() + 64) // 256)
+    limit = 2 ** (256 * nblocks) // modulus * modulus
+    tallies = Counter()
+    for trial in range(trials):
+        block = 0
+        while True:
+            data = b"".join(sha(struct.pack(">QQQ", seed, trial, b)).digest()
+                            for b in range(block, block + nblocks))
+            block += nblocks
+            r = int.from_bytes(data, "big")
+            if r < limit:
+                break
+        r %= modulus
+        mask = 0
+        for point in range(npoints):
+            r, digit = divmod(r, den)
+            if digit < num:
+                mask |= 1 << point
+        tallies[mask] += 1
+    return dict(tallies)
+
+
+@pytest.mark.parametrize("num,den,npoints", [
+    (1, 2, 3), (1, 3, 4), (2, 3, 4), (2, 5, 3),
+    (2, 5, 6),  # two table chunks: 5**5 <= TABLE_SIZE < 5**6
+    (2, 3, 9),  # two table chunks of 7 and 2 digits
+    (37, 100, 2),  # 100**2 > TABLE_SIZE: one digit per chunk, no table
+])
+def test_decoder_is_exact_over_every_residue(num, den, npoints):
+    decode = mask_decoder(num, den, npoints)
+    masks = [decode(r) for r in range(den ** npoints)]
+    # each residue decodes digit by digit, whatever the table width
+    for r, mask in enumerate(masks):
+        assert mask == sum(1 << p for p in range(npoints) if r // den ** p % den < num)
+    # so each mask S comes from num^|S| (den-num)^(n-|S|) residues
+    expected = {}
+    for mask in range(1 << npoints):
+        chosen = bin(mask).count("1")
+        expected[mask] = num ** chosen * (den - num) ** (npoints - chosen)
+    assert Counter(masks) == expected
+
+
+@pytest.mark.parametrize("seed,trials,num,den,npoints", [
+    (3, 300, 1, 3, 5),
+    (5, 200, 2, 5, 12),
+    (8, 20, 1, 3, 130),
+    (2, 50, 7, 2 ** 70, 3),  # den above 2^64
+])
+def test_count_masks_follows_the_contract(seed, trials, num, den, npoints):
+    assert _count_masks(seed, 0, trials, num, den, npoints) == \
+        reference_masks(seed, trials, num, den, npoints)
+
+
+def test_count_masks_golden_multi_chunk():
+    # 12 points at den 3: two table chunks of 7 and 5 digits
+    assert _count_masks(5, 0, 6, 1, 3, 12) == {
+        592: 1, 2818: 1, 360: 1, 521: 1, 768: 1, 1027: 1}
+
+
+def test_count_masks_golden_multi_digest():
+    # 3^130 has 207 bits; with the 64-bit margin each draw reads two digests
+    assert _count_masks(11, 0, 3, 1, 3, 130) == {
+        0x2e00829041a42300d1020624152849098: 1,
+        0x15814a246348d43640460830024804011: 1,
+        0x240b34104324f00389ec0094c04269c2: 1,
+    }
+
+
+class FixedDigest:
+    def __init__(self, digest: bytes):
+        self._digest = digest
+
+    def digest(self) -> bytes:
+        return self._digest
+
+
+@pytest.mark.parametrize("npoints,first_draw,rejected", [
+    (4, "all ones", True),
+    (4, "limit - 1", False),
+    (4, "limit", True),
+    (130, "all ones", True),  # two digests per draw
+])
+def test_draw_is_rejected_from_the_limit_on(monkeypatch, npoints, first_draw, rejected):
+    modulus = 3 ** npoints
+    nblocks = -(-(modulus.bit_length() + 64) // 256)
+    span = 2 ** (256 * nblocks)
+    limit = span // modulus * modulus
+    value = {"all ones": span - 1, "limit - 1": limit - 1, "limit": limit}[first_draw]
+    first = value.to_bytes(32 * nblocks, "big")
+    real = hashlib.sha256
+    requested = []
+
+    def rigged(data):
+        _, trial, block = struct.unpack(">QQQ", data)
+        requested.append((trial, block))
+        if block < nblocks:
+            return FixedDigest(first[32 * block:32 * (block + 1)])
+        return real(data)
+
+    monkeypatch.setattr(montecarlo, "sha256", rigged)
+    tallies = _count_masks(4, 0, 20, 1, 3, npoints)
+    blocks = range(2 * nblocks if rejected else nblocks)
+    assert requested == [(t, b) for t in range(20) for b in blocks]
+    assert tallies == reference_masks(4, 20, 1, 3, npoints, sha=rigged)
