@@ -8,7 +8,6 @@ abstract exponent multisets with the same unit-sum property.
 
 from .geometry import (
     ChainPolygon,
-    LatticePoint,
     PolygonStats,
     TriangleSpec,
     convex_hull_chain,
@@ -59,7 +58,6 @@ __all__ = [
     "CompositionD",
     "FrequencyTable",
     "IdentityReport",
-    "LatticePoint",
     "PolygonStats",
     "QHalfPoly",
     "SearchCapExceeded",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_polygons
-from .geometry import ChainPolygon, LatticePoint, TriangleSpec, polygon_stats, triangle_interior_points
+from .geometry import ChainPolygon, TriangleSpec, polygon_stats, triangle_interior_points
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import polygon_term_doubled_exponent, verify_all
@@ -43,7 +43,7 @@ class PolygonRecord:
     def from_polygon(cls, p: ChainPolygon) -> "PolygonRecord":
         s = polygon_stats(p)
         return cls(
-            vertices=tuple((v.x, v.y) for v in p.vertices),
+            vertices=p.vertices,
             k=s.k,
             v_count=s.v_count,
             i_p=s.interior,
@@ -80,10 +80,8 @@ class PolygonRecord:
 
     def validate(self) -> None:
         """Recompute everything from the vertices; mismatch means corruption."""
-        last = self.vertices[-1]
-        spec = TriangleSpec(last[0], last[1])
-        poly = ChainPolygon(tuple(LatticePoint(x, y) for x, y in self.vertices), spec)
-        if PolygonRecord.from_polygon(poly) != self:
+        spec = TriangleSpec(*self.vertices[-1])
+        if PolygonRecord.from_polygon(ChainPolygon(self.vertices, spec)) != self:
             raise ValueError(f"record fields disagree with recomputation: {self}")
 
 
@@ -155,7 +153,7 @@ def format_signature(sig) -> str:
 
 
 def format_vertices(p: ChainPolygon) -> str:
-    return "-".join(f"({v.x},{v.y})" for v in p.vertices)
+    return "-".join(f"({x},{y})" for x, y in p.vertices)
 
 
 # ---------------------------------------------------------------- commands
@@ -271,8 +269,8 @@ def render_svg(p: ChainPolygon, spec: TriangleSpec) -> str:
     def sy(y: int) -> int:
         return PAD + (spec.j - y) * SCALE
 
-    tri = " ".join(f"{sx(c.x)},{sy(c.y)}" for c in spec.corners)
-    chain_pts = " ".join(f"{sx(v.x)},{sy(v.y)}" for v in p.vertices)
+    tri = " ".join(f"{sx(x)},{sy(y)}" for x, y in spec.corners)
+    chain_pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.vertices)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -284,10 +282,10 @@ def render_svg(p: ChainPolygon, spec: TriangleSpec) -> str:
         f'  <polygon points="{chain_pts}" fill="#f6c345" fill-opacity="0.25" stroke="none"/>',
         f'  <polyline points="{chain_pts}" fill="none" stroke="#b7791f" stroke-width="2.5"/>',
     ]
-    for pt in triangle_interior_points(spec):
-        lines.append(f'  <circle cx="{sx(pt.x)}" cy="{sy(pt.y)}" r="3" fill="#333333"/>')
-    for v in p.vertices:
-        lines.append(f'  <circle cx="{sx(v.x)}" cy="{sy(v.y)}" r="4" fill="#b7791f"/>')
+    for x, y in triangle_interior_points(spec):
+        lines.append(f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="3" fill="#333333"/>')
+    for x, y in p.vertices:
+        lines.append(f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="#b7791f"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .geometry import ChainPolygon, LatticePoint, TriangleSpec
+from .geometry import ChainPolygon, TriangleSpec
 
 Steps = tuple[tuple[int, int], ...]
 
@@ -45,14 +45,6 @@ class CompositionD:
     @property
     def k(self) -> int:
         return len(self.steps)
-
-    @property
-    def sum_a(self) -> int:
-        return sum(a for a, _ in self.steps)
-
-    @property
-    def sum_b(self) -> int:
-        return sum(b for _, b in self.steps)
 
 
 @dataclass(frozen=True)
@@ -159,16 +151,17 @@ def composition_to_polygon(c: CompositionC, spec: TriangleSpec) -> ChainPolygon:
         raise ValueError(
             f"step sums ({c.sum_x},{c.sum_y}) do not match triangle ({spec.i},{spec.j})"
         )
-    verts = [LatticePoint(0, 0)]
-    for x, y in c.steps:
-        verts.append(LatticePoint(verts[-1].x + x, verts[-1].y + y))
+    verts = [(0, 0)]
+    for dx, dy in c.steps:
+        x, y = verts[-1]
+        verts.append((x + dx, y + dy))
     return ChainPolygon(tuple(verts), spec)
 
 
 def polygon_to_composition(p: ChainPolygon) -> CompositionC:
     """Consecutive vertex differences; inverse of composition_to_polygon."""
     return CompositionC(
-        tuple((b.x - a.x, b.y - a.y) for a, b in zip(p.vertices, p.vertices[1:]))
+        tuple((bx - ax, by - ay) for (ax, ay), (bx, by) in zip(p.vertices, p.vertices[1:]))
     )
 
 

@@ -15,7 +15,6 @@ required in every searched multiset, and it has a = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .enumeration import enumerate_polygons
 from .geometry import TriangleSpec, polygon_stats
@@ -79,7 +78,8 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
     SearchCapExceeded rather than returning a truncated list.
 
     Pruning facts (terms are strictly positive on 0 < x < 1):
-    - the partial sum at x = 1/2 can never exceed 1;
+    - the partial sum at x = 1/2 can never exceed 1; it is kept exactly as
+      a numerator over 2**(max_a + max_b), where a term adds 2**-(a + b);
     - at x = 0 only a = 0 terms survive, so exactly one pair has a = 0;
     - at x = 1 only b = 0 terms survive, so exactly one pair has b = 0.
     """
@@ -89,11 +89,12 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
         raise ValueError("max_size and node_cap must be >= 1")
 
     candidates = [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)]
+    whole = 1 << (max_a + max_b)
     one = UnitPoly.one()
     found = []
     visited = 0
 
-    def extend(start: int, chosen: list, val_half: Fraction, a0: int, b0: int):
+    def extend(start: int, chosen: list, val_half: int, a0: int, b0: int):
         nonlocal visited
         for idx in range(start, len(candidates)):
             visited += 1
@@ -107,11 +108,11 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
             new_b0 = b0 + (b == 0)
             if new_a0 > 1 or new_b0 > 1:
                 continue
-            new_val = val_half + Fraction(1, 2 ** (a + b))
-            if new_val > 1:
+            new_val = val_half + (whole >> (a + b))
+            if new_val > whole:
                 continue
             chosen.append((a, b))
-            if new_val == 1:
+            if new_val == whole:
                 sig = Signature(tuple(chosen))
                 if (0, 1) in sig.pairs and unit_sum_of(sig) == one:
                     found.append(sig)
@@ -119,7 +120,7 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
                 extend(idx, chosen, new_val, new_a0, new_b0)
             chosen.pop()
 
-    extend(0, [], Fraction(0), 0, 0)
+    extend(0, [], 0, 0, 0)
     return sorted(found, key=lambda s: (len(s), s.pairs))
 
 

@@ -11,16 +11,14 @@ from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True, order=True)
-class LatticePoint:
-    """A point of the integer lattice Z^2."""
+Point = tuple[int, int]  # a point of the integer lattice Z^2
 
-    x: int
-    y: int
 
-    def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
-            raise TypeError(f"lattice coordinates must be int, got ({self.x!r}, {self.y!r})")
+def _require_point(p) -> None:
+    """Raise TypeError unless p is an (x, y) tuple of ints."""
+    if not (isinstance(p, tuple) and len(p) == 2
+            and isinstance(p[0], int) and isinstance(p[1], int)):
+        raise TypeError(f"a lattice point is an (x, y) tuple of ints, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,13 @@ class TriangleSpec:
         return self.i + self.j
 
     @property
-    def corners(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
-        return (LatticePoint(0, 0), LatticePoint(self.i, 0), LatticePoint(self.i, self.j))
+    def corners(self) -> tuple[Point, Point, Point]:
+        return ((0, 0), (self.i, 0), (self.i, self.j))
 
-    def contains_interior(self, p: LatticePoint) -> bool:
+    def contains_interior(self, p: Point) -> bool:
         """Strict interior: strictly below the hypotenuse, above y=0, left of x=i."""
-        return p.y > 0 and p.x < self.i and self.j * p.x - self.i * p.y > 0
+        x, y = p
+        return y > 0 and x < self.i and self.j * x - self.i * y > 0
 
 
 @dataclass(frozen=True)
@@ -59,25 +58,27 @@ class ChainPolygon:
     the hypotenuse and off the horizontal and vertical triangle edges.
     """
 
-    vertices: tuple[LatticePoint, ...]
+    vertices: tuple[Point, ...]
     spec: TriangleSpec
 
     def __post_init__(self):
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
+        for v in verts:
+            _require_point(v)
         if len(verts) < 2:
             raise ValueError("chain needs at least 2 vertices")
-        if verts[0] != LatticePoint(0, 0):
+        if verts[0] != (0, 0):
             raise ValueError(f"chain must start at (0,0), got {verts[0]}")
-        if verts[-1] != LatticePoint(self.spec.i, self.spec.j):
+        if verts[-1] != (self.spec.i, self.spec.j):
             raise ValueError(f"chain must end at ({self.spec.i},{self.spec.j}), got {verts[-1]}")
-        for a, b in zip(verts, verts[1:]):
-            if b.x - a.x < 1 or b.y - a.y < 1:
-                raise ValueError(f"edge {a}->{b} must move right and up by >= 1")
-        for a, b, c in zip(verts, verts[1:], verts[2:]):
+        for (ax, ay), (bx, by) in zip(verts, verts[1:]):
+            if bx - ax < 1 or by - ay < 1:
+                raise ValueError(f"edge {(ax, ay)}->{(bx, by)} must move right and up by >= 1")
+        for (ax, ay), (bx, by), (cx, cy) in zip(verts, verts[1:], verts[2:]):
             # slope(a->b) < slope(b->c), compared by cross product
-            if (b.x - a.x) * (c.y - b.y) - (c.x - b.x) * (b.y - a.y) <= 0:
-                raise ValueError(f"edge slopes must strictly increase at {b}")
+            if (bx - ax) * (cy - by) - (cx - bx) * (by - ay) <= 0:
+                raise ValueError(f"edge slopes must strictly increase at {(bx, by)}")
         for v in verts[1:-1]:
             if not self.spec.contains_interior(v):
                 raise ValueError(f"intermediate vertex {v} not strictly inside the triangle")
@@ -99,17 +100,17 @@ class ChainPolygon:
 
 def hypotenuse(spec: TriangleSpec) -> ChainPolygon:
     """The 2-gon from (0,0) to (i,j)."""
-    return ChainPolygon((LatticePoint(0, 0), LatticePoint(spec.i, spec.j)), spec)
+    return ChainPolygon(((0, 0), (spec.i, spec.j)), spec)
 
 
-def triangle_interior_points(spec: TriangleSpec) -> list[LatticePoint]:
+def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
     """All lattice points strictly inside the triangle, in lexicographic
     (x, y) order."""
     points = []
     for x in range(1, spec.i):
         # y >= 1 and j*x - i*y > 0, i.e. y <= ceil(j*x/i) - 1
         for y in range(1, (spec.j * x - 1) // spec.i + 1):
-            points.append(LatticePoint(x, y))
+            points.append((x, y))
     return points
 
 
@@ -145,9 +146,9 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     area2 = 0
     edge_gcds = 0
     verts = poly.vertices
-    for a, b in zip(verts, verts[1:]):
-        area2 += a.x * b.y - b.x * a.y
-        edge_gcds += gcd(b.x - a.x, b.y - a.y)
+    for (ax, ay), (bx, by) in zip(verts, verts[1:]):
+        area2 += ax * by - bx * ay
+        edge_gcds += gcd(bx - ax, by - ay)
     boundary = edge_gcds + g
     interior = (area2 - boundary + 2) // 2
     return PolygonStats(
@@ -167,15 +168,17 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
     The chosen points must be strictly interior to the triangle; they then
     all lie strictly below the hypotenuse, so the hull's upper boundary is
     the hypotenuse itself and its lower boundary is the monotone lower hull
-    computed here, on (x, y) tuples. Collinear non-extreme points are
-    dropped. An empty selection yields the 2-gon.
+    computed here. Every chosen point must be an (x, y) tuple of ints,
+    extreme or not. Collinear non-extreme points are dropped. An empty
+    selection yields the 2-gon.
     """
     coords = {(0, 0), (spec.i, spec.j)}
     for p in chosen:
+        _require_point(p)
         if not spec.contains_interior(p):
             raise ValueError(f"point {p} is not strictly interior to the triangle")
-        coords.add((p.x, p.y))
-    hull: list[tuple[int, int]] = []
+        coords.add(p)
+    hull: list[Point] = []
     for point in sorted(coords):
         x, y = point
         # pop the last hull point while it and its predecessor do not turn left to (x, y)
@@ -186,4 +189,4 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
                 break
             hull.pop()
         hull.append(point)
-    return ChainPolygon(tuple(LatticePoint(x, y) for x, y in hull), spec)
+    return ChainPolygon(tuple(hull), spec)

@@ -8,20 +8,22 @@ polygon_stats, which derives i(P) and u(P) from Pick's theorem.
 
 from math import gcd
 
-from latticechains.geometry import ChainPolygon, LatticePoint, TriangleSpec, triangle_interior_points
+from latticechains.geometry import ChainPolygon, Point, TriangleSpec, triangle_interior_points
 
 
-def cross(o: LatticePoint, a: LatticePoint, b: LatticePoint) -> int:
+def cross(o: Point, a: Point, b: Point) -> int:
     """Cross product (a-o) x (b-o): > 0 when b lies strictly left of the
     ray o->a, < 0 strictly right, 0 collinear."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    (ox, oy), (ax, ay), (bx, by) = o, a, b
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def segment_lattice_count(p: LatticePoint, r: LatticePoint) -> int:
+def segment_lattice_count(p: Point, r: Point) -> int:
     """Number of lattice points on the closed segment [p, r]: gcd(|dx|,|dy|)+1."""
     if p == r:
         raise ValueError("degenerate segment: endpoints coincide")
-    return gcd(abs(r.x - p.x), abs(r.y - p.y)) + 1
+    (px, py), (rx, ry) = p, r
+    return gcd(abs(rx - px), abs(ry - py)) + 1
 
 
 def interior_count(poly: ChainPolygon) -> int:
@@ -33,13 +35,12 @@ def interior_count(poly: ChainPolygon) -> int:
     count = 0
     for x in range(0, poly.spec.i + 1):
         for y in range(0, poly.spec.j + 1):
-            p = LatticePoint(x, y)
-            if all(cross(a, b, p) > 0 for a, b in edges):
+            if all(cross(a, b, (x, y)) > 0 for a, b in edges):
                 count += 1
     return count
 
 
-def contains_point_closed(poly: ChainPolygon, p: LatticePoint) -> bool:
+def contains_point_closed(poly: ChainPolygon, p: Point) -> bool:
     """Membership in the closed region of the polygon (boundary included).
 
     For the 2-gon the closed region is the segment itself.
@@ -84,7 +85,7 @@ def pick_check(poly) -> bool:
     """
     if isinstance(poly, ChainPolygon):
         poly = poly.vertices
-    verts = tuple(p if isinstance(p, LatticePoint) else LatticePoint(p[0], p[1]) for p in poly)
+    verts = tuple(poly)
     area2 = abs(_cycle_area2(verts))
     if area2 == 0:
         raise ValueError("Pick's theorem does not apply to degenerate polygons")
@@ -98,22 +99,23 @@ def _cycle_edges(verts):
 
 
 def _cycle_area2(verts) -> int:
-    return sum(a.x * b.y - b.x * a.y for a, b in _cycle_edges(verts))
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in _cycle_edges(verts))
 
 
 def _cycle_boundary(verts) -> int:
-    return sum(gcd(abs(b.x - a.x), abs(b.y - a.y)) for a, b in _cycle_edges(verts))
+    return sum(gcd(abs(bx - ax), abs(by - ay)) for (ax, ay), (bx, by) in _cycle_edges(verts))
 
 
-def _on_segment(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
+def _on_segment(p: Point, a: Point, b: Point) -> bool:
+    (px, py), (ax, ay), (bx, by) = p, a, b
     return (
         cross(a, b, p) == 0
-        and min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+        and min(ax, bx) <= px <= max(ax, bx)
+        and min(ay, by) <= py <= max(ay, by)
     )
 
 
-def _point_in_simple_polygon(p: LatticePoint, verts) -> bool:
+def _point_in_simple_polygon(p: Point, verts) -> bool:
     """Strict interior test for a simple polygon: boundary points are not
     interior; otherwise exact even-odd counting of edge crossings of the
     horizontal ray to the right of p."""
@@ -121,23 +123,24 @@ def _point_in_simple_polygon(p: LatticePoint, verts) -> bool:
     for a, b in edges:
         if _on_segment(p, a, b):
             return False
+    px, py = p
     inside = False
-    for a, b in edges:
-        if (a.y > p.y) != (b.y > p.y):
-            # x-coordinate of the crossing exceeds p.x iff num/d > 0
-            d = b.y - a.y
-            num = (a.x - p.x) * d + (p.y - a.y) * (b.x - a.x)
+    for (ax, ay), (bx, by) in edges:
+        if (ay > py) != (by > py):
+            # x-coordinate of the crossing exceeds px iff num/d > 0
+            d = by - ay
+            num = (ax - px) * d + (py - ay) * (bx - ax)
             if num != 0 and (num > 0) == (d > 0):
                 inside = not inside
     return inside
 
 
 def _simple_interior_count(verts) -> int:
-    xs = [v.x for v in verts]
-    ys = [v.y for v in verts]
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
     count = 0
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            if _point_in_simple_polygon(LatticePoint(x, y), verts):
+            if _point_in_simple_polygon((x, y), verts):
                 count += 1
     return count

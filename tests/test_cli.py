@@ -222,7 +222,7 @@ def test_explore_collapse_sets_flag(capsys):
                        "--max-size", "4", "--max-m", "4", "--max-n", "4",
                        "--collapse-sets")
     assert code == 0
-    assert "{(3,0),(2,1),(1,1),(0,1)}" in out
+    assert out == EXPLORE_COLLAPSE_SETS
 
 
 def test_render_writes_one_svg_per_polygon(tmp_path, capsys):
@@ -236,6 +236,13 @@ def test_render_writes_one_svg_per_polygon(tmp_path, capsys):
     assert body.startswith("<svg ")
     assert body.count("<circle") == 3 + 3  # interior dots + chain vertices
     assert 'stroke-width="3"' in body  # emphasized hypotenuse
+
+
+def test_render_golden_svgs(tmp_path, capsys):
+    code, _, _ = run(capsys, "render", "--i", "3", "--j", "4", "--out-dir", str(tmp_path))
+    assert code == 0
+    bodies = [(tmp_path / f"poly_{k}.svg").read_text() for k in range(4)]
+    assert bodies == [RENDER_3_4_POLY_0, RENDER_3_4_POLY_1, RENDER_3_4_POLY_2, RENDER_3_4_POLY_3]
 
 
 def test_render_is_byte_identical(tmp_path, capsys):
@@ -261,6 +268,13 @@ def test_enumerate_byte_identical_across_runs(capsys):
         assert run(capsys, *argv) == run(capsys, *argv)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_golden_output(capsys, fmt):
+    code, out, _ = run(capsys, "enumerate", "--i", "3", "--j", "4", "--format", fmt)
+    assert code == 0
+    assert out == {"csv": ENUMERATE_3_4_CSV, "json": ENUMERATE_3_4_JSON}[fmt]
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "latticechains", "verify", "--i", "1", "--n", "2"],
@@ -268,3 +282,187 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "q^(1/2)" in proc.stdout
+
+
+# ---------------------------------------------------------------- golden outputs
+
+ENUMERATE_3_4_CSV = """\
+k,vCount,iP,bP,area2,u,exponentDoubled,vertices
+1,2,0,2,0,3,4,"[[0,0],[3,4]]"
+2,3,0,3,1,2,4,"[[0,0],[1,1],[3,4]]"
+2,3,2,3,5,0,8,"[[0,0],[2,1],[3,4]]"
+2,3,0,4,2,1,6,"[[0,0],[2,2],[3,4]]"
+"""
+
+
+ENUMERATE_3_4_JSON = """\
+[
+  {
+    "vertices": [
+      [
+        0,
+        0
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "k": 1,
+    "vCount": 2,
+    "iP": 0,
+    "bP": 2,
+    "area2": 0,
+    "u": 3,
+    "exponentDoubled": 4
+  },
+  {
+    "vertices": [
+      [
+        0,
+        0
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "k": 2,
+    "vCount": 3,
+    "iP": 0,
+    "bP": 3,
+    "area2": 1,
+    "u": 2,
+    "exponentDoubled": 4
+  },
+  {
+    "vertices": [
+      [
+        0,
+        0
+      ],
+      [
+        2,
+        1
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "k": 2,
+    "vCount": 3,
+    "iP": 2,
+    "bP": 3,
+    "area2": 5,
+    "u": 0,
+    "exponentDoubled": 8
+  },
+  {
+    "vertices": [
+      [
+        0,
+        0
+      ],
+      [
+        2,
+        2
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "k": 2,
+    "vCount": 3,
+    "iP": 0,
+    "bP": 4,
+    "area2": 2,
+    "u": 1,
+    "exponentDoubled": 6
+  }
+]
+"""
+
+
+RENDER_3_4_POLY_0 = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="128" height="160" viewBox="0 0 128 160">
+  <rect width="128" height="160" fill="white"/>
+  <polygon points="16,144 112,144 112,16" fill="none" stroke="#555555" stroke-width="1.5"/>
+  <line x1="16" y1="144" x2="112" y2="16" stroke="#2b6cb0" stroke-width="3"/>
+  <polygon points="16,144 112,16" fill="#f6c345" fill-opacity="0.25" stroke="none"/>
+  <polyline points="16,144 112,16" fill="none" stroke="#b7791f" stroke-width="2.5"/>
+  <circle cx="48" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="80" r="3" fill="#333333"/>
+  <circle cx="16" cy="144" r="4" fill="#b7791f"/>
+  <circle cx="112" cy="16" r="4" fill="#b7791f"/>
+</svg>
+"""
+
+
+RENDER_3_4_POLY_1 = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="128" height="160" viewBox="0 0 128 160">
+  <rect width="128" height="160" fill="white"/>
+  <polygon points="16,144 112,144 112,16" fill="none" stroke="#555555" stroke-width="1.5"/>
+  <line x1="16" y1="144" x2="112" y2="16" stroke="#2b6cb0" stroke-width="3"/>
+  <polygon points="16,144 48,112 112,16" fill="#f6c345" fill-opacity="0.25" stroke="none"/>
+  <polyline points="16,144 48,112 112,16" fill="none" stroke="#b7791f" stroke-width="2.5"/>
+  <circle cx="48" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="80" r="3" fill="#333333"/>
+  <circle cx="16" cy="144" r="4" fill="#b7791f"/>
+  <circle cx="48" cy="112" r="4" fill="#b7791f"/>
+  <circle cx="112" cy="16" r="4" fill="#b7791f"/>
+</svg>
+"""
+
+
+RENDER_3_4_POLY_2 = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="128" height="160" viewBox="0 0 128 160">
+  <rect width="128" height="160" fill="white"/>
+  <polygon points="16,144 112,144 112,16" fill="none" stroke="#555555" stroke-width="1.5"/>
+  <line x1="16" y1="144" x2="112" y2="16" stroke="#2b6cb0" stroke-width="3"/>
+  <polygon points="16,144 80,112 112,16" fill="#f6c345" fill-opacity="0.25" stroke="none"/>
+  <polyline points="16,144 80,112 112,16" fill="none" stroke="#b7791f" stroke-width="2.5"/>
+  <circle cx="48" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="80" r="3" fill="#333333"/>
+  <circle cx="16" cy="144" r="4" fill="#b7791f"/>
+  <circle cx="80" cy="112" r="4" fill="#b7791f"/>
+  <circle cx="112" cy="16" r="4" fill="#b7791f"/>
+</svg>
+"""
+
+
+RENDER_3_4_POLY_3 = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="128" height="160" viewBox="0 0 128 160">
+  <rect width="128" height="160" fill="white"/>
+  <polygon points="16,144 112,144 112,16" fill="none" stroke="#555555" stroke-width="1.5"/>
+  <line x1="16" y1="144" x2="112" y2="16" stroke="#2b6cb0" stroke-width="3"/>
+  <polygon points="16,144 80,80 112,16" fill="#f6c345" fill-opacity="0.25" stroke="none"/>
+  <polyline points="16,144 80,80 112,16" fill="none" stroke="#b7791f" stroke-width="2.5"/>
+  <circle cx="48" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="112" r="3" fill="#333333"/>
+  <circle cx="80" cy="80" r="3" fill="#333333"/>
+  <circle cx="16" cy="144" r="4" fill="#b7791f"/>
+  <circle cx="80" cy="80" r="4" fill="#b7791f"/>
+  <circle cx="112" cy="16" r="4" fill="#b7791f"/>
+</svg>
+"""
+
+
+EXPLORE_COLLAPSE_SETS = """\
+search bounds: a <= 3, b <= 1, size <= 4
+found 3 unit multiset(s)
+{(1,0),(0,1)}
+  triangles up to (4,4): (2,3), (2,4), (3,2), (3,3), (4,2)
+{(2,0),(1,1),(0,1)}
+  triangles up to (4,4): none
+{(3,0),(2,1),(1,1),(0,1)}
+  triangles up to (4,4): (3,4), (4,3)
+"""

@@ -23,7 +23,6 @@ from latticechains.enumeration import (
 )
 from latticechains.geometry import (
     ChainPolygon,
-    LatticePoint,
     TriangleSpec,
     convex_hull_chain,
     polygon_stats,
@@ -160,7 +159,7 @@ def test_composition_polygon_round_trip():
     spec = TriangleSpec(3, 4)
     c = CompositionC(((1, 1), (2, 3)))
     p = composition_to_polygon(c, spec)
-    assert p.vertices == (LatticePoint(0, 0), LatticePoint(1, 1), LatticePoint(3, 4))
+    assert p.vertices == ((0, 0), (1, 1), (3, 4))
     assert polygon_to_composition(p) == c
 
     two_gon = composition_to_polygon(CompositionC(((3, 4),)), spec)

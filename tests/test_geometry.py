@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import (
     ChainPolygon,
-    LatticePoint,
     TriangleSpec,
     convex_hull_chain,
     hypotenuse,
@@ -28,11 +27,9 @@ from scan_oracles import (
     u_count,
 )
 
-P = LatticePoint
-
 
 def chain(spec, *coords):
-    return ChainPolygon(tuple(P(x, y) for x, y in coords), spec)
+    return ChainPolygon(coords, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +39,11 @@ def chain(spec, *coords):
 
 def oracle_segment_points(a, b):
     """Count lattice points on [a, b] by scanning the bounding box."""
+    (ax, ay), (bx, by) = a, b
     count = 0
-    for x in range(min(a.x, b.x), max(a.x, b.x) + 1):
-        for y in range(min(a.y, b.y), max(a.y, b.y) + 1):
-            if (b.x - a.x) * (y - a.y) == (b.y - a.y) * (x - a.x):
+    for x in range(min(ax, bx), max(ax, bx) + 1):
+        for y in range(min(ay, by), max(ay, by) + 1):
+            if (bx - ax) * (y - ay) == (by - ay) * (x - ax):
                 count += 1
     return count
 
@@ -53,23 +51,24 @@ def oracle_segment_points(a, b):
 def oracle_area2_trapezoid(verts):
     """Doubled area via the trapezoid form sum (x1-x2)(y1+y2)."""
     edges = list(zip(verts, verts[1:] + verts[:1]))
-    return sum((a.x - b.x) * (a.y + b.y) for a, b in edges)
+    return sum((ax - bx) * (ay + by) for (ax, ay), (bx, by) in edges)
 
 
 def _on_seg(p, a, b):
-    if (b.x - a.x) * (p.y - a.y) != (b.y - a.y) * (p.x - a.x):
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    if (bx - ax) * (py - ay) != (by - ay) * (px - ax):
         return False
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def oracle_boundary_scan(verts):
     edges = list(zip(verts, verts[1:] + verts[:1]))
-    xs = [v.x for v in verts]
-    ys = [v.y for v in verts]
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
     count = 0
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            if any(_on_seg(P(x, y), a, b) for a, b in edges):
+            if any(_on_seg((x, y), a, b) for a, b in edges):
                 count += 1
     return count
 
@@ -78,21 +77,20 @@ def oracle_interior_scan(verts):
     """Strict-interior count by even-odd ray casting, written here from
     scratch with half-open vertical ranges."""
     edges = list(zip(verts, verts[1:] + verts[:1]))
-    xs = [v.x for v in verts]
-    ys = [v.y for v in verts]
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
     count = 0
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            p = P(x, y)
-            if any(_on_seg(p, a, b) for a, b in edges):
+            if any(_on_seg((x, y), a, b) for a, b in edges):
                 continue
             crossings = 0
-            for a, b in edges:
-                if (a.y <= p.y) == (b.y <= p.y):
+            for (ax, ay), (bx, by) in edges:
+                if (ay <= y) == (by <= y):
                     continue
-                # exact comparison of the ray hit abscissa against p.x
-                lhs = (b.x - a.x) * (p.y - a.y) - (p.x - a.x) * (b.y - a.y)
-                if lhs > 0 if b.y > a.y else lhs < 0:
+                # exact comparison of the ray hit abscissa against x
+                lhs = (bx - ax) * (y - ay) - (x - ax) * (by - ay)
+                if lhs > 0 if by > ay else lhs < 0:
                     crossings += 1
             if crossings % 2 == 1:
                 count += 1
@@ -100,14 +98,15 @@ def oracle_interior_scan(verts):
 
 
 def _in_closed_triangle(p, a, b, c):
-    d1 = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    d2 = (c.x - b.x) * (p.y - b.y) - (c.y - b.y) * (p.x - b.x)
-    d3 = (a.x - c.x) * (p.y - c.y) - (a.y - c.y) * (p.x - c.x)
+    (px, py), (ax, ay), (bx, by), (cx, cy) = p, a, b, c
+    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+    d3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
     if d1 == d2 == d3 == 0:
         # degenerate triangle: membership means lying on its segment span
-        xs = (a.x, b.x, c.x)
-        ys = (a.y, b.y, c.y)
-        return min(xs) <= p.x <= max(xs) and min(ys) <= p.y <= max(ys)
+        xs = (ax, bx, cx)
+        ys = (ay, by, cy)
+        return min(xs) <= px <= max(xs) and min(ys) <= py <= max(ys)
     return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)
 
 
@@ -115,7 +114,7 @@ def oracle_hull_vertices(chosen, spec):
     """Extreme points of {(0,0),(i,j)} | chosen, by brute force: a point is
     extreme iff it is outside every closed triangle on three other points
     (and off every segment between two others)."""
-    pts = sorted(set(chosen) | {P(0, 0), P(spec.i, spec.j)})
+    pts = sorted(set(chosen) | {(0, 0), (spec.i, spec.j)})
     extremes = []
     for p in pts:
         others = [q for q in pts if q != p]
@@ -138,19 +137,19 @@ def random_hull(rng, max_leg=8):
 
 
 def test_segment_lattice_count_examples():
-    assert segment_lattice_count(P(0, 0), P(1, 2)) == 2
-    assert segment_lattice_count(P(0, 0), P(2, 4)) == 3
-    assert segment_lattice_count(P(3, 5), P(6, 9)) == 2
+    assert segment_lattice_count((0, 0), (1, 2)) == 2
+    assert segment_lattice_count((0, 0), (2, 4)) == 3
+    assert segment_lattice_count((3, 5), (6, 9)) == 2
 
 
 def test_segment_lattice_count_rejects_degenerate():
     with pytest.raises(ValueError):
-        segment_lattice_count(P(1, 2), P(1, 2))
+        segment_lattice_count((1, 2), (1, 2))
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
 def test_segment_lattice_count_matches_scan(ax, ay, bx, by):
-    a, b = P(ax, ay), P(bx, by)
+    a, b = (ax, ay), (bx, by)
     if a == b:
         return
     assert segment_lattice_count(a, b) == oracle_segment_points(a, b)
@@ -177,15 +176,15 @@ def test_interior_count_examples():
 
 def test_triangle_interior_points_examples():
     assert triangle_interior_points(TriangleSpec(1, 1)) == []
-    assert triangle_interior_points(TriangleSpec(2, 3)) == [P(1, 1)]
-    assert triangle_interior_points(TriangleSpec(3, 4)) == [P(1, 1), P(2, 1), P(2, 2)]
+    assert triangle_interior_points(TriangleSpec(2, 3)) == [(1, 1)]
+    assert triangle_interior_points(TriangleSpec(3, 4)) == [(1, 1), (2, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (3, 4), (5, 5), (7, 3), (8, 8)])
 def test_triangle_interior_points_match_scan(i, j):
     spec = TriangleSpec(i, j)
     expected = [
-        P(x, y)
+        (x, y)
         for x in range(0, i + 1)
         for y in range(0, j + 1)
         if y > 0 and x < i and j * x - i * y > 0
@@ -202,17 +201,17 @@ def test_u_count_examples():
 
 def test_convex_hull_chain_examples():
     assert convex_hull_chain([], TriangleSpec(2, 3)) == hypotenuse(TriangleSpec(2, 3))
-    assert convex_hull_chain([P(1, 1)], TriangleSpec(2, 3)) == chain(
+    assert convex_hull_chain([(1, 1)], TriangleSpec(2, 3)) == chain(
         TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3)
     )
     assert convex_hull_chain(
-        [P(1, 1), P(2, 2), P(2, 1)], TriangleSpec(3, 4)
+        [(1, 1), (2, 2), (2, 1)], TriangleSpec(3, 4)
     ) == chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))
 
 
 def test_convex_hull_chain_rejects_non_interior_points():
     spec = TriangleSpec(3, 4)
-    for bad in [P(0, 0), P(3, 4), P(1, 2), P(2, 3), P(3, 1), P(1, 0), P(-1, 1)]:
+    for bad in [(0, 0), (3, 4), (1, 2), (2, 3), (3, 1), (1, 0), (-1, 1)]:
         assert not spec.contains_interior(bad)
         with pytest.raises(ValueError):
             convex_hull_chain([bad], spec)
@@ -246,7 +245,23 @@ def test_chain_polygon_validation():
     with pytest.raises(ValueError):
         chain(spec, (0, 0), (2, 0), (3, 4))  # flat edge
     with pytest.raises(ValueError):
-        ChainPolygon((P(0, 0),), spec)
+        ChainPolygon(((0, 0),), spec)
+
+
+@pytest.mark.parametrize("vertex", [(1.0, 1), [1, 1], (1, 1, 0)],
+                         ids=["float-coordinate", "list-vertex", "3-tuple-vertex"])
+def test_chain_polygon_rejects_non_int_pair_vertices(vertex):
+    with pytest.raises(TypeError):
+        ChainPolygon(((0, 0), vertex, (3, 4)), TriangleSpec(3, 4))
+
+
+@pytest.mark.parametrize("point", [(2.0, 2), [2, 2]], ids=["float-coordinate", "list-point"])
+def test_convex_hull_chain_rejects_non_int_points_that_are_not_extreme(point):
+    spec = TriangleSpec(3, 4)
+    assert spec.contains_interior(point)
+    assert convex_hull_chain([(2, 1), (2, 2)], spec) == chain(spec, (0, 0), (2, 1), (3, 4))
+    with pytest.raises(TypeError):
+        convex_hull_chain([(2, 1), point], spec)
 
 
 def stats_mismatches(poly):

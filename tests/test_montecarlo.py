@@ -9,7 +9,7 @@ import pytest
 
 from latticechains.enumeration import composition_to_polygon, enumerate_polygons
 from latticechains.enumeration import CompositionC
-from latticechains.geometry import ChainPolygon, LatticePoint, TriangleSpec, hypotenuse
+from latticechains.geometry import ChainPolygon, TriangleSpec, hypotenuse
 from latticechains import montecarlo
 from latticechains.montecarlo import (
     FrequencyTable,
@@ -23,9 +23,7 @@ from latticechains.montecarlo import (
 
 
 def chain(spec, *pts):
-    verts = (LatticePoint(0, 0), *[LatticePoint(x, y) for x, y in pts],
-             LatticePoint(spec.i, spec.j))
-    return ChainPolygon(verts, spec)
+    return ChainPolygon(((0, 0), *pts, (spec.i, spec.j)), spec)
 
 
 def test_config_validation():
