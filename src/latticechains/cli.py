@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, TriangleSpec, polygon_stats, triangle_interior_points
@@ -23,7 +24,13 @@ from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import polygon_term_doubled_exponent, verify_all
 
-CSV_COLUMNS = ["k", "vCount", "iP", "bP", "area2", "u", "exponentDoubled", "vertices"]
+# The record schema: each JSON key and CSV column, in CSV column order, and
+# the PolygonRecord attribute it holds. The vertices are the last CSV column
+# and the first JSON key.
+FIELDS = {"k": "k", "vCount": "v_count", "iP": "i_p", "bP": "b_p",
+          "area2": "area2", "u": "u", "exponentDoubled": "exponent_doubled"}
+CSV_COLUMNS = [*FIELDS, "vertices"]
+_field_values = attrgetter(*FIELDS.values())  # record -> its FIELDS values, in order
 
 
 @dataclass(frozen=True)
@@ -54,28 +61,14 @@ class PolygonRecord:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "k": self.k,
-            "vCount": self.v_count,
-            "iP": self.i_p,
-            "bP": self.b_p,
-            "area2": self.area2,
-            "u": self.u,
-            "exponentDoubled": self.exponent_doubled,
-        }
+        return {"vertices": [list(v) for v in self.vertices],
+                **dict(zip(FIELDS, _field_values(self)))}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolygonRecord":
         return cls(
             vertices=tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"]),
-            k=_json_int(obj["k"]),
-            v_count=_json_int(obj["vCount"]),
-            i_p=_json_int(obj["iP"]),
-            b_p=_json_int(obj["bP"]),
-            area2=_json_int(obj["area2"]),
-            u=_json_int(obj["u"]),
-            exponent_doubled=_json_int(obj["exponentDoubled"]),
+            **{attr: _json_int(obj[key]) for key, attr in FIELDS.items()},
         )
 
     def validate(self) -> None:
@@ -125,7 +118,7 @@ def records_to_csv(records) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow([
-            r.k, r.v_count, r.i_p, r.b_p, r.area2, r.u, r.exponent_doubled,
+            *_field_values(r),
             json.dumps([list(v) for v in r.vertices], separators=(",", ":")),
         ])
     return out.getvalue()
@@ -140,11 +133,13 @@ def records_from_csv(text: str) -> list:
 
 
 def _record_from_csv_row(row: list) -> PolygonRecord:
+    """The row as the JSON record it stands for: the scalar cells through
+    int(), which refuses 2.9 and true, the vertices cell through JSON."""
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    k, v_count, i_p, b_p, area2, u, exp2 = (int(c) for c in row[:7])
-    verts = tuple((int(x), int(y)) for x, y in json.loads(row[7]))
-    return PolygonRecord(verts, k, v_count, i_p, b_p, area2, u, exp2)
+    obj = {key: int(cell) for key, cell in zip(FIELDS, row)}
+    obj["vertices"] = json.loads(row[-1])
+    return PolygonRecord.from_json_obj(obj)
 
 
 def format_signature(sig) -> str:
@@ -236,12 +231,7 @@ def cmd_explore(args) -> int:
               file=sys.stderr)
         return 2
     if args.collapse_sets:
-        seen = []
-        for sig in found:
-            collapsed = sig.as_set()
-            if collapsed not in seen:
-                seen.append(collapsed)
-        found = seen
+        found = list(dict.fromkeys(sig.as_set() for sig in found))
     print(f"search bounds: a <= {args.max_a}, b <= {args.max_b}, size <= {args.max_size}")
     print(f"found {len(found)} unit multiset(s)")
     signatures = triangle_signatures(args.max_m, args.max_n) if found else {}

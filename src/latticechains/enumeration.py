@@ -68,14 +68,6 @@ class CompositionC:
     def k(self) -> int:
         return len(self.steps)
 
-    @property
-    def sum_x(self) -> int:
-        return sum(x for x, _ in self.steps)
-
-    @property
-    def sum_y(self) -> int:
-        return sum(y for _, y in self.steps)
-
 
 def pair_cross_sum(steps: Steps) -> int:
     """Sum over l1 < l2 of (a_l1 * b_l2 - a_l2 * b_l1)."""
@@ -146,11 +138,8 @@ def c_to_d(c: CompositionC) -> CompositionD:
 
 
 def composition_to_polygon(c: CompositionC, spec: TriangleSpec) -> ChainPolygon:
-    """Chain whose vertices are the partial sums of the steps."""
-    if c.sum_x != spec.i or c.sum_y != spec.j:
-        raise ValueError(
-            f"step sums ({c.sum_x},{c.sum_y}) do not match triangle ({spec.i},{spec.j})"
-        )
+    """Chain whose vertices are the partial sums of the steps; ChainPolygon
+    refuses it unless the steps sum to (spec.i, spec.j)."""
     verts = [(0, 0)]
     for dx, dy in c.steps:
         x, y = verts[-1]

@@ -23,8 +23,8 @@ changes nothing; merged tallies are identical to the serial run.
 
 from __future__ import annotations
 
+import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -142,10 +142,14 @@ def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
     if jobs == 1 or config.trials < 2 * jobs:
         tallies = _count_masks(config.seed, 0, config.trials, num, den, len(interior))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only this branch pays for it
+
         per = -(-config.trials // jobs)
         bounds = [(t, min(t + per, config.trials)) for t in range(0, config.trials, per)]
         tallies = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # jobs chunks, but never more worker processes than cores: the pool
+        # starts all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_count_masks, config.seed, a, b, num, den, len(interior))
                 for a, b in bounds

@@ -55,14 +55,8 @@ class _Poly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def __bool__(self):
-        return bool(self._coeffs)
-
     def __eq__(self, other):
         return type(self) is type(other) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((type(self).__name__, frozenset(self._coeffs.items())))
 
     def __neg__(self):
         return type(self)({e: -c for e, c in self._coeffs.items()})

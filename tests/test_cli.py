@@ -1,8 +1,10 @@
 """End-to-end command tests: exit codes, schemas, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,8 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,0,4,"[[0,0],[1,1]]",extra\n'),
     (records_from_csv, CSV_HEADER_LINE + "1,2,0,2,0,0,4,[]\n"),
     (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,0,4,"[[0,0],[1]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,1,4,"[[0,0],[2.9,3.5]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,1,4,"[[0,0],[true,3]]"\n'),
     (records_from_json, "[{}]"),
     (records_from_json, "[1]"),
     (records_from_json, "[[]]"),
@@ -107,6 +111,7 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": 4.5}]'),
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": "4"}]'),
 ], ids=["csv-short-row", "csv-long-row", "csv-no-vertices", "csv-bad-vertex",
+        "csv-float-vertex", "csv-bool-vertex",
         "json-empty-object", "json-number", "json-list", "json-infinity",
         "json-float", "json-string"])
 def test_loaders_name_the_malformed_record(load, text):
@@ -273,6 +278,18 @@ def test_enumerate_golden_output(capsys, fmt):
     code, out, _ = run(capsys, "enumerate", "--i", "3", "--j", "4", "--format", fmt)
     assert code == 0
     assert out == {"csv": ENUMERATE_3_4_CSV, "json": ENUMERATE_3_4_JSON}[fmt]
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latticechains.cli; "
+         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_installed_entry_point():

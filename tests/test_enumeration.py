@@ -221,7 +221,7 @@ def test_random_hull_compositions_are_valid(seed=20260819):
         chosen = [p for p in interior if rng.random() < 0.5]
         poly = convex_hull_chain(chosen, spec)
         c = polygon_to_composition(poly)
-        assert c.sum_x == i and c.sum_y == j
+        assert sum(x for x, _ in c.steps) == i and sum(y for _, y in c.steps) == j
         assert composition_to_polygon(c, spec) == poly
 
 

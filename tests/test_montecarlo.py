@@ -94,6 +94,34 @@ def test_parallel_matches_serial():
         assert serial.counts == parallel.counts
 
 
+def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
+    import concurrent.futures
+
+    class InlineExecutor:
+        """Records max_workers and runs each task at submit; starts no process."""
+        max_workers = []
+
+        def __init__(self, max_workers):
+            self.max_workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    cfg = SimulationConfig(TriangleSpec(4, 5), Fraction(1, 3), 640, 5)
+    assert simulate(cfg, jobs=64).counts == simulate(cfg, jobs=1).counts
+    assert InlineExecutor.max_workers == [2]
+
+
 def test_different_seeds_differ():
     # not a hard guarantee, but 3000 trials colliding exactly would be absurd
     spec = TriangleSpec(3, 4)
