@@ -66,6 +66,11 @@ class PolygonRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolygonRecord":
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {obj!r}")
+        extra = obj.keys() - {*FIELDS, "vertices"}
+        if extra:
+            raise ValueError(f"unexpected keys {sorted(extra)}")
         return cls(
             vertices=tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"]),
             **{attr: _json_int(obj[key]) for key, attr in FIELDS.items()},

@@ -12,6 +12,15 @@ Slopes are compared by integer cross products throughout. Each family is
 produced grouped by increasing step count k, lexicographically within a
 group, so output order is reproducible. k never exceeds min(i, j): every
 step consumes at least one unit of each coordinate (in D via b - a >= 1).
+
+The depth-first fill skips a step whose remainder cannot follow it. The
+later steps sum to the remainder, and a sum of vectors whose slopes are all
+strictly below (above) a slope has a slope strictly below (above) it too.
+So a D step (a, b) needs (rem_a - a) * b < a * (rem_b - b), and a C step
+(x, y) needs x * (rem_y - y) - (rem_x - x) * y > 0. Both are necessary, so
+skipping only drops branches that yield nothing, and the order is kept.
+With the step's first coordinate fixed, each fails for every larger second
+coordinate once it fails, so the inner loop stops there.
 """
 
 from __future__ import annotations
@@ -70,13 +79,13 @@ class CompositionC:
 
 
 def pair_cross_sum(steps: Steps) -> int:
-    """Sum over l1 < l2 of (a_l1 * b_l2 - a_l2 * b_l1)."""
-    total = 0
-    for l1 in range(len(steps)):
-        a1, b1 = steps[l1]
-        for l2 in range(l1 + 1, len(steps)):
-            a2, b2 = steps[l2]
-            total += a1 * b2 - a2 * b1
+    """Sum over l1 < l2 of (a_l1 * b_l2 - a_l2 * b_l1), in O(k): with A, B the
+    sums of the steps before step l2, its pairs add A * b_l2 - a_l2 * B."""
+    total = sum_a = sum_b = 0
+    for a, b in steps:
+        total += sum_a * b - a * sum_b
+        sum_a += a
+        sum_b += b
     return total
 
 
@@ -101,6 +110,8 @@ def _fill_d(prefix, slots, rem_a, rem_b):
     # leave >= 1 of a and >= 2 of b (since b > a >= 1) for each later slot
     for a in range(1, rem_a - (slots - 1) + 1):
         for b in range(a + 1, rem_b - 2 * (slots - 1) + 1):
+            if (rem_a - a) * b >= a * (rem_b - b):
+                break  # the rest cannot be strictly flatter than (a, b)
             if prefix and prefix[-1][0] * b <= a * prefix[-1][1]:
                 continue
             yield from _fill_d([*prefix, (a, b)], slots - 1, rem_a - a, rem_b - b)
@@ -122,6 +133,8 @@ def _fill_c(prefix, slots, rem_x, rem_y):
         return
     for x in range(1, rem_x - (slots - 1) + 1):
         for y in range(1, rem_y - (slots - 1) + 1):
+            if x * (rem_y - y) - (rem_x - x) * y <= 0:
+                break  # the rest cannot be strictly steeper than (x, y)
             if prefix and prefix[-1][0] * y - x * prefix[-1][1] <= 0:
                 continue
             yield from _fill_c([*prefix, (x, y)], slots - 1, rem_x - x, rem_y - y)

@@ -14,11 +14,12 @@ required in every searched multiset, and it has a = 0).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .enumeration import enumerate_polygons
 from .geometry import TriangleSpec, polygon_stats
-from .polyalgebra import UnitPoly, term_x_pow_times_one_minus_x_pow
+from .polyalgebra import UnitPoly
 
 Pair = tuple[int, int]
 
@@ -61,10 +62,8 @@ def triangle_signature(m: int, n: int) -> Signature:
 
 
 def unit_sum_of(sig: Signature) -> UnitPoly:
-    total = UnitPoly.zero()
-    for a, b in sig:
-        total = total + term_x_pow_times_one_minus_x_pow(a, b)
-    return total
+    """Sum of x^a * (1-x)^b over the multiset, folded from its histogram."""
+    return UnitPoly.fold_terms(Counter(sig), step=1)
 
 
 def is_unit_multiset(sig: Signature) -> bool:

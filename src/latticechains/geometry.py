@@ -15,9 +15,10 @@ Point = tuple[int, int]  # a point of the integer lattice Z^2
 
 
 def _require_point(p) -> None:
-    """Raise TypeError unless p is an (x, y) tuple of ints."""
+    """Raise TypeError unless p is an (x, y) tuple of ints; bool is refused,
+    since a record would write True as the JSON literal true."""
     if not (isinstance(p, tuple) and len(p) == 2
-            and isinstance(p[0], int) and isinstance(p[1], int)):
+            and type(p[0]) is int and type(p[1]) is int):
         raise TypeError(f"a lattice point is an (x, y) tuple of ints, got {p!r}")
 
 

@@ -8,6 +8,14 @@ Two families cover every identity in this project:
 
 Coefficients are Python ints (arbitrary precision); zero coefficients are
 never stored, so dict equality is canonical equality.
+
+Every identity form is a sum of terms of one shape,
+    mult * y^shift * (1 - y^step)^power,
+so ``fold_terms`` sums a whole form from its term histogram
+{(shift, power): mult}: each distinct key is expanded once by the binomial
+theorem into one shared coefficient dict, and the polynomial is built once.
+The unit sums use y = x, step = 1; the q-forms use y = v, step = -2, since
+(q - 1)^(k-1) * q^(d/2) = v^(d + 2k - 2) * (1 - v^-2)^(k-1).
 """
 
 from __future__ import annotations
@@ -44,6 +52,17 @@ class _Poly:
     @classmethod
     def monomial(cls, exponent, coeff=1):
         return cls({exponent: coeff})
+
+    @classmethod
+    def fold_terms(cls, histogram, step: int):
+        """Sum of mult * y^shift * (1 - y^step)^power over a {(shift, power):
+        mult} mapping; the empty mapping gives zero."""
+        coeffs = {}
+        for (shift, power), mult in histogram.items():
+            for t in range(power + 1):
+                e = shift + step * t
+                coeffs[e] = coeffs.get(e, 0) + (-mult if t & 1 else mult) * comb(power, t)
+        return cls(coeffs)
 
     def coefficient(self, exponent) -> int:
         return self._coeffs.get(exponent, 0)
@@ -183,4 +202,4 @@ def term_x_pow_times_one_minus_x_pow(a: int, b: int) -> UnitPoly:
     """Expansion of x^a * (1-x)^b with exact signed binomial coefficients."""
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
-    return UnitPoly({a + t: (-1) ** t * comb(b, t) for t in range(b + 1)})
+    return UnitPoly.fold_terms({(a, b): 1}, step=1)

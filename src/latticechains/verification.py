@@ -15,12 +15,19 @@ Form 3 (unit sums): over the same polygons,
 
 All comparisons are exact polynomial equalities. Half-integer q-exponents
 are carried as doubled integers, so every coefficient stays an int.
+
+Each form is folded, not added up term by term: its terms are counted in a
+histogram keyed by what the term depends on -- (k, doubled exponent) for
+the q-forms, the signature pair (u(P), v(P)-2) for the unit sums -- and
+polyalgebra's ``fold_terms`` expands each distinct key once, times its
+multiplicity, into one polynomial. The D ledger stays a per-term list, so
+a failure report can name every D term.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -32,12 +39,7 @@ from .enumeration import (
     pair_gcd_sum,
 )
 from .geometry import TriangleSpec, polygon_stats
-from .polyalgebra import (
-    QHalfPoly,
-    UnitPoly,
-    q_monomial,
-    term_x_pow_times_one_minus_x_pow,
-)
+from .polyalgebra import QHalfPoly, UnitPoly, q_monomial
 
 # names of verify_all's checks, in the order they run
 CHECK_NAMES = (
@@ -64,14 +66,12 @@ class IdentityReport:
         return self.failed_check is None
 
 
-@lru_cache(maxsize=None)
-def _q_minus_one_pow(m: int) -> QHalfPoly:
-    return QHalfPoly.q_minus_one() ** m
-
-
-def _q_term(k: int, doubled: int) -> QHalfPoly:
-    """(q - 1)^(k-1) * q^(doubled/2): the term shape of both q-forms."""
-    return _q_minus_one_pow(k - 1) * q_monomial(doubled)
+def _q_form(terms) -> QHalfPoly:
+    """Sum of (q - 1)^(k-1) * q^(doubled/2) over (k, doubled) pairs, the term
+    shape of both q-forms, as v^(doubled + 2k - 2) * (1 - v^-2)^(k-1)."""
+    return QHalfPoly.fold_terms(
+        Counter((doubled + 2 * (k - 1), k - 1) for k, doubled in terms), step=-2
+    )
 
 
 def d_term_doubled_exponent(d: CompositionD) -> int:
@@ -84,7 +84,7 @@ def _d_ledger(i: int, n: int) -> list:
 
 
 def _d_form(ledger) -> QHalfPoly:
-    return sum((_q_term(k, doubled) for _, doubled, k in ledger), QHalfPoly.zero())
+    return _q_form((k, doubled) for _, doubled, k in ledger)
 
 
 def lhs_main_via_D(i: int, n: int) -> QHalfPoly:
@@ -106,16 +106,20 @@ def _family_stats(spec: TriangleSpec) -> list:
 
 
 def _polygon_form(stats) -> QHalfPoly:
-    return sum(
-        (_q_term(s.k, polygon_term_doubled_exponent(s.k, s.interior, s.boundary)) for s in stats),
-        QHalfPoly.zero(),
-    )
+    return _q_form((s.k, polygon_term_doubled_exponent(s.k, s.interior, s.boundary))
+                   for s in stats)
 
 
-def _unit_form(stats, swap: bool) -> UnitPoly:
-    """Sum of x^u(P) * (1-x)^(v(P)-2), or of (1-x)^u(P) * x^(v(P)-2) if swap."""
-    pairs = ((s.v_count - 2, s.u) if swap else (s.u, s.v_count - 2) for s in stats)
-    return sum((term_x_pow_times_one_minus_x_pow(a, b) for a, b in pairs), UnitPoly.zero())
+def _signature(stats) -> Counter:
+    """{(u(P), v(P)-2): multiplicity} over the family."""
+    return Counter((s.u, s.v_count - 2) for s in stats)
+
+
+def _unit_form(signature, swap: bool) -> UnitPoly:
+    """Sum of x^u * (1-x)^(v-2) over the signature, or of (1-x)^u * x^(v-2) if swap."""
+    if swap:
+        signature = {(b, a): mult for (a, b), mult in signature.items()}
+    return UnitPoly.fold_terms(signature, step=1)
 
 
 def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
@@ -128,18 +132,19 @@ def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
 
 def unit_sum(spec: TriangleSpec) -> UnitPoly:
     """Sum of x^u(P) * (1-x)^(v(P)-2) over the polygon family."""
-    return _unit_form(_family_stats(spec), swap=False)
+    return _unit_form(_signature(_family_stats(spec)), swap=False)
 
 
 def unit_sum_process(spec: TriangleSpec) -> UnitPoly:
     """Same family, factors swapped: sum of (1-x)^u(P) * x^(v(P)-2)."""
-    return _unit_form(_family_stats(spec), swap=True)
+    return _unit_form(_signature(_family_stats(spec)), swap=True)
 
 
 def verify_all(i: int, n: int) -> IdentityReport:
     """Run all five identity checks; a violation is reported, never raised.
 
-    Each family is enumerated once, with one polygon_stats call per polygon.
+    Each family is enumerated once, with one polygon_stats call per polygon,
+    and each form is folded from its term histogram.
     """
     if i < 1 or n <= i:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
@@ -152,11 +157,12 @@ def verify_all(i: int, n: int) -> IdentityReport:
 
     stats = _family_stats(spec)
     poly_lhs = _polygon_form(stats)
+    signature = _signature(stats)
     results = (
         ("d_form", lhs == rhs),
         ("polygon_form", poly_lhs == rhs_main_via_polygons(spec)),
-        ("unit_sum", _unit_form(stats, swap=False) == UnitPoly.one()),
-        ("unit_sum_process", _unit_form(stats, swap=True) == UnitPoly.one()),
+        ("unit_sum", _unit_form(signature, swap=False) == UnitPoly.one()),
+        ("unit_sum_process", _unit_form(signature, swap=True) == UnitPoly.one()),
         ("form_consistency", poly_lhs == lhs * q_monomial(2 + g)),
     )
     failed = next((name for name, ok in results if not ok), None)

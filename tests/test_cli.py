@@ -110,10 +110,11 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": Infinity}]'),
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": 4.5}]'),
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": "4"}]'),
+    (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": 4, "bogus": 1}]'),
 ], ids=["csv-short-row", "csv-long-row", "csv-no-vertices", "csv-bad-vertex",
         "csv-float-vertex", "csv-bool-vertex",
         "json-empty-object", "json-number", "json-list", "json-infinity",
-        "json-float", "json-string"])
+        "json-float", "json-string", "json-extra-key"])
 def test_loaders_name_the_malformed_record(load, text):
     with pytest.raises(ValueError, match="record 1: "):
         load(text)

@@ -104,6 +104,23 @@ def test_C_matches_oracle(j):
         assert len(set(got)) == len(got)
 
 
+def k_then_lex(steps):
+    return (len(steps), steps)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_D_sequence_is_the_oracle_in_k_then_lex_order(n):
+    # the sequence itself, not only the set: pruning may drop empty branches only
+    for i in range(1, n):
+        assert [d.steps for d in enumerate_D(i, n)] == sorted(oracle_D(i, n), key=k_then_lex)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_C_sequence_is_the_oracle_in_k_then_lex_order(j):
+    for i in range(1, 9):
+        assert [c.steps for c in enumerate_C(i, j)] == sorted(oracle_C(i, j), key=k_then_lex)
+
+
 def test_output_grouped_by_k_then_lex():
     for i, j in [(4, 5), (5, 7), (6, 6)]:
         seq = [c.steps for c in enumerate_C(i, j)]

@@ -255,6 +255,19 @@ def test_chain_polygon_rejects_non_int_pair_vertices(vertex):
         ChainPolygon(((0, 0), vertex, (3, 4)), TriangleSpec(3, 4))
 
 
+@pytest.mark.parametrize("point", [(True, True), (2, True)], ids=["bool-pair", "bool-y"])
+def test_bool_coordinates_are_refused(point):
+    # as ints they would form valid chains; a record would write them as true
+    spec = TriangleSpec(3, 4)
+    assert spec.contains_interior(point)
+    with pytest.raises(TypeError):
+        ChainPolygon(((0, 0), point, (3, 4)), spec)
+    with pytest.raises(TypeError):
+        convex_hull_chain([point], spec)
+    with pytest.raises(TypeError):
+        ChainPolygon(((False, False), (True, True)), TriangleSpec(1, 1))
+
+
 @pytest.mark.parametrize("point", [(2.0, 2), [2, 2]], ids=["float-coordinate", "list-point"])
 def test_convex_hull_chain_rejects_non_int_points_that_are_not_extreme(point):
     spec = TriangleSpec(3, 4)

@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latticechains.polyalgebra import (
@@ -132,3 +133,37 @@ def test_big_coefficient_stress():
         assert p.coefficient(2 * k) == (-1) ** (80 - k) * comb(80, k)
     # value at v=2 is (q-1)^80 with q=4
     assert p.eval_rational(2, 1) == 3**80
+
+
+# derandomized so the suite runs the same examples every time
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
+                    suppress_health_check=[HealthCheck.too_slow])
+mults = st.integers(-(10**6), 10**6)
+
+
+def term_by_term(cls, histogram, one_minus):
+    """The fold's sum built one term at a time with *, + and **."""
+    total = cls.zero()
+    for (shift, power), mult in histogram.items():
+        total = total + cls.monomial(shift, mult) * one_minus ** power
+    return total
+
+
+@SETTINGS
+@given(st.dictionaries(st.tuples(st.integers(-12, 12), st.integers(0, 7)), mults, max_size=8))
+def test_q_fold_matches_term_by_term_sum(histogram):
+    one_minus_v_to_minus_2 = QHalfPoly.one() - q_monomial(-2)
+    assert QHalfPoly.fold_terms(histogram, step=-2) == term_by_term(
+        QHalfPoly, histogram, one_minus_v_to_minus_2)
+
+
+@SETTINGS
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 7)), mults, max_size=8))
+def test_unit_fold_matches_term_by_term_sum(histogram):
+    assert UnitPoly.fold_terms(histogram, step=1) == term_by_term(
+        UnitPoly, histogram, UnitPoly.one_minus_x())
+
+
+def test_empty_fold_is_zero():
+    assert QHalfPoly.fold_terms({}, step=-2) == QHalfPoly.zero()
+    assert UnitPoly.fold_terms(Counter(), step=1) == UnitPoly.zero()
