@@ -296,7 +296,7 @@ def cmd_render(args) -> int:
             print(f"wrote {path}")
     except OSError as exc:
         print(f"cannot write under {args.out_dir}: {exc}", file=sys.stderr)
-        return 1
+        return 2
     return 0
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .enumeration import enumerate_polygons
-from .geometry import TriangleSpec, polygon_stats
+from .geometry import TriangleSpec
 from .polyalgebra import UnitPoly
+from .verification import signature_pairs
 
 Pair = tuple[int, int]
 
@@ -35,11 +35,13 @@ class Signature:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(a), int(b)) for a, b in self.pairs))
+        pairs = tuple((a, b) for a, b in self.pairs)
         for a, b in pairs:
+            if type(a) is not int or type(b) is not int:
+                raise TypeError(f"exponents must be ints, got ({a!r}, {b!r})")
             if a < 0 or b < 0:
                 raise ValueError(f"exponents must be nonnegative, got ({a},{b})")
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
     def __len__(self):
         return len(self.pairs)
@@ -53,12 +55,7 @@ class Signature:
 
 
 def triangle_signature(m: int, n: int) -> Signature:
-    spec = TriangleSpec(m, n)
-    pairs = []
-    for p in enumerate_polygons(spec):
-        s = polygon_stats(p)
-        pairs.append((s.u, s.v_count - 2))
-    return Signature(tuple(pairs))
+    return Signature(tuple(signature_pairs(TriangleSpec(m, n))))
 
 
 def unit_sum_of(sig: Signature) -> UnitPoly:

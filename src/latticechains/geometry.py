@@ -39,6 +39,11 @@ class TriangleSpec:
         return self.i + self.j
 
     @property
+    def interior_count(self) -> int:
+        """I_T, the lattice points strictly inside, by Pick's theorem."""
+        return (self.i * self.j - self.n - gcd(self.i, self.j) + 2) // 2
+
+    @property
     def corners(self) -> tuple[Point, Point, Point]:
         return ((0, 0), (self.i, 0), (self.i, self.j))
 
@@ -133,17 +138,16 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     The closing edge (i,j)->(0,0) adds nothing to the shoelace sum, so
     area2 is a sum over chain edges, and so is the edge-gcd sum G; the
     hypotenuse adds gcd(i,j) boundary points. Pick's theorem then gives
-    i(P), and the same theorem on the triangle gives its interior count
-    I_T. The triangle interior points outside P are those not inside P and
-    not among the G - 1 chain points strictly between (0,0) and (i,j).
+    i(P), and TriangleSpec.interior_count gives the triangle's I_T. The
+    triangle interior points outside P are those not inside P and not
+    among the G - 1 chain points strictly between (0,0) and (i,j).
     The 2-gon is the hypotenuse itself: no area, no interior, u = I_T.
     """
     spec = poly.spec
     g = gcd(spec.i, spec.j)
-    triangle_interior = (spec.i * spec.j - spec.n - g + 2) // 2
     if poly.is_segment:
         return PolygonStats(k=1, v_count=2, interior=0, boundary=g + 1, area2=0,
-                            u=triangle_interior)
+                            u=spec.interior_count)
     area2 = 0
     edge_gcds = 0
     verts = poly.vertices
@@ -158,7 +162,7 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
         interior=interior,
         boundary=boundary,
         area2=area2,
-        u=triangle_interior - interior - (edge_gcds - 1),
+        u=spec.interior_count - interior - (edge_gcds - 1),
     )
 
 

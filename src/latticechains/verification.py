@@ -16,12 +16,15 @@ Form 3 (unit sums): over the same polygons,
 All comparisons are exact polynomial equalities. Half-integer q-exponents
 are carried as doubled integers, so every coefficient stays an int.
 
-Each form is folded, not added up term by term: its terms are counted in a
-histogram keyed by what the term depends on -- (k, doubled exponent) for
-the q-forms, the signature pair (u(P), v(P)-2) for the unit sums -- and
-polyalgebra's ``fold_terms`` expands each distinct key once, times its
-multiplicity, into one polynomial. The D ledger stays a per-term list, so
-a failure report can name every D term.
+Each form is folded from a term histogram: polyalgebra's ``fold_terms``
+expands each distinct key once, times its multiplicity. The D form is keyed
+by (k, doubled exponent); its per-term ledger is kept for the failure report.
+The polygon side reads only the signature {(u(P), v(P)-2): mult} counted
+from signature_pairs, since by Pick i(P) + b(P) = I_T + 1 + g - u(P) (I_T
+the triangle's interior count, g = gcd(i,j)) and k - 1 = v(P) - 2. So the
+polygon form is q^(I_T + 1 + g) times the unit sum at x = 1/q: polygon_form
+and unit_sum test one identity, and form_consistency is the check that ties
+the polygon family to the separately enumerated D family.
 """
 
 from __future__ import annotations
@@ -66,14 +69,6 @@ class IdentityReport:
         return self.failed_check is None
 
 
-def _q_form(terms) -> QHalfPoly:
-    """Sum of (q - 1)^(k-1) * q^(doubled/2) over (k, doubled) pairs, the term
-    shape of both q-forms, as v^(doubled + 2k - 2) * (1 - v^-2)^(k-1)."""
-    return QHalfPoly.fold_terms(
-        Counter((doubled + 2 * (k - 1), k - 1) for k, doubled in terms), step=-2
-    )
-
-
 def d_term_doubled_exponent(d: CompositionD) -> int:
     return 2 * (1 - d.k) + pair_cross_sum(d.steps) + pair_gcd_sum(d.steps)
 
@@ -84,7 +79,10 @@ def _d_ledger(i: int, n: int) -> list:
 
 
 def _d_form(ledger) -> QHalfPoly:
-    return _q_form((k, doubled) for _, doubled, k in ledger)
+    """Sum of (q - 1)^(k-1) * q^(doubled/2) over the ledger, as
+    v^(doubled + 2k - 2) * (1 - v^-2)^(k-1)."""
+    histogram = Counter((doubled + 2 * (k - 1), k - 1) for _, doubled, k in ledger)
+    return QHalfPoly.fold_terms(histogram, step=-2)
 
 
 def lhs_main_via_D(i: int, n: int) -> QHalfPoly:
@@ -101,18 +99,17 @@ def polygon_term_doubled_exponent(k: int, interior: int, boundary: int) -> int:
     return 2 * (interior + boundary - (k - 1))
 
 
-def _family_stats(spec: TriangleSpec) -> list:
-    return [polygon_stats(p) for p in enumerate_polygons(spec)]
+def signature_pairs(spec: TriangleSpec) -> list:
+    """(u(P), v(P)-2) per polygon of the family, in enumeration order."""
+    return [(s.u, s.v_count - 2) for s in map(polygon_stats, enumerate_polygons(spec))]
 
 
-def _polygon_form(stats) -> QHalfPoly:
-    return _q_form((s.k, polygon_term_doubled_exponent(s.k, s.interior, s.boundary))
-                   for s in stats)
-
-
-def _signature(stats) -> Counter:
-    """{(u(P), v(P)-2): multiplicity} over the family."""
-    return Counter((s.u, s.v_count - 2) for s in stats)
+def _polygon_form(signature, spec: TriangleSpec) -> QHalfPoly:
+    """Sum of (q - 1)^w * q^(top - u - w) over the signature {(u, w): mult},
+    top = I_T + 1 + g, as v^(2*(top - u)) * (1 - v^-2)^w."""
+    top = spec.interior_count + 1 + gcd(spec.i, spec.j)
+    histogram = {(2 * (top - u), w): mult for (u, w), mult in signature.items()}
+    return QHalfPoly.fold_terms(histogram, step=-2)
 
 
 def _unit_form(signature, swap: bool) -> UnitPoly:
@@ -123,7 +120,7 @@ def _unit_form(signature, swap: bool) -> UnitPoly:
 
 
 def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
-    return _polygon_form(_family_stats(spec))
+    return _polygon_form(Counter(signature_pairs(spec)), spec)
 
 
 def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
@@ -132,12 +129,12 @@ def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
 
 def unit_sum(spec: TriangleSpec) -> UnitPoly:
     """Sum of x^u(P) * (1-x)^(v(P)-2) over the polygon family."""
-    return _unit_form(_signature(_family_stats(spec)), swap=False)
+    return _unit_form(Counter(signature_pairs(spec)), swap=False)
 
 
 def unit_sum_process(spec: TriangleSpec) -> UnitPoly:
     """Same family, factors swapped: sum of (1-x)^u(P) * x^(v(P)-2)."""
-    return _unit_form(_signature(_family_stats(spec)), swap=True)
+    return _unit_form(Counter(signature_pairs(spec)), swap=True)
 
 
 def verify_all(i: int, n: int) -> IdentityReport:
@@ -155,9 +152,8 @@ def verify_all(i: int, n: int) -> IdentityReport:
     lhs = _d_form(ledger)
     rhs = rhs_main(i, n)
 
-    stats = _family_stats(spec)
-    poly_lhs = _polygon_form(stats)
-    signature = _signature(stats)
+    signature = Counter(signature_pairs(spec))
+    poly_lhs = _polygon_form(signature, spec)
     results = (
         ("d_form", lhs == rhs),
         ("polygon_form", poly_lhs == rhs_main_via_polygons(spec)),

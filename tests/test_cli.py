@@ -264,7 +264,7 @@ def test_render_reports_io_failure(tmp_path, capsys):
     blocker.write_text("not a directory")
     code, _, err = run(capsys, "render", "--i", "1", "--j", "1",
                        "--out-dir", str(blocker))
-    assert code == 1
+    assert code == 2
     assert "blocked" in err
 
 

@@ -1,5 +1,6 @@
 """Signature search against an unpruned brute-force reference."""
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -37,6 +38,12 @@ def test_signature_is_canonical_multiset():
     assert dup.as_set() == Signature(((0, 1), (1, 1)))
     with pytest.raises(ValueError):
         Signature(((-1, 0),))
+
+
+@pytest.mark.parametrize("pair", [(0.5, 1), (True, 0), ("1", "0")])
+def test_signature_refuses_non_int_exponents(pair):
+    with pytest.raises(TypeError, match=re.escape(repr(pair))):
+        Signature((pair, (1, 0)))
 
 
 def test_frozen_triangle_signatures():

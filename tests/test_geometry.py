@@ -349,6 +349,7 @@ def test_triangle_counts(i, j):
     spec = TriangleSpec(i, j)
     assert triangle_boundary_count(spec) == spec.n + gcd(i, j)
     assert triangle_doubled_area(spec) == i * j
+    assert spec.interior_count == triangle_interior_count(spec)
 
 
 def test_hull_matches_extreme_point_oracle():

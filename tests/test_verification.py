@@ -26,7 +26,9 @@ from latticechains.verification import (
     verify_all,
 )
 
+from scan_oracles import segment_lattice_count
 from test_enumeration import oracle_D
+from test_geometry import oracle_boundary_scan, oracle_interior_scan
 
 
 def oracle_lhs_coeffs(i, n):
@@ -80,6 +82,24 @@ def test_polygon_form_frozen_values():
     assert lhs_main_via_polygons(TriangleSpec(2, 3)) == q_monomial(6)
     assert lhs_main_via_polygons(TriangleSpec(3, 4)) == q_monomial(10)
     assert rhs_main_via_polygons(TriangleSpec(3, 4)) == q_monomial(10)
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+@pytest.mark.parametrize("j", range(1, 8))
+def test_polygon_form_matches_pick_free_term_sum(i, j):
+    # each term from its definition, with i(P) and b(P) counted by lattice
+    # scans and the sum built one polynomial at a time
+    spec = TriangleSpec(i, j)
+    total = QHalfPoly.zero()
+    for p in enumerate_polygons(spec):
+        if p.is_segment:
+            interior, boundary = 0, segment_lattice_count((0, 0), (i, j))
+        else:
+            verts = list(p.vertices)
+            interior, boundary = oracle_interior_scan(verts), oracle_boundary_scan(verts)
+        total = total + QHalfPoly.q_minus_one() ** (p.k - 1) * q_monomial(
+            2 * (interior + boundary - (p.k - 1)))
+    assert lhs_main_via_polygons(spec) == total
 
 
 def test_unit_sum_frozen_values():
