@@ -138,13 +138,21 @@ def records_from_csv(text: str) -> list:
 
 
 def _record_from_csv_row(row: list) -> PolygonRecord:
-    """The row as the JSON record it stands for: the scalar cells through
-    int(), which refuses 2.9 and true, the vertices cell through JSON."""
+    """The row as the JSON record it stands for: each scalar cell only in the
+    canonical form the writer emits (so not 2.9, true, +1, 01 or ' 1'), the
+    vertices cell through JSON."""
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    obj = {key: int(cell) for key, cell in zip(FIELDS, row)}
+    obj = {key: _canonical_int(cell) for key, cell in zip(FIELDS, row)}
     obj["vertices"] = json.loads(row[-1])
     return PolygonRecord.from_json_obj(obj)
+
+
+def _canonical_int(cell: str) -> int:
+    value = int(cell)
+    if cell != str(value):
+        raise ValueError(f"integer cell {cell!r} is not in canonical form")
+    return value
 
 
 def format_signature(sig) -> str:

@@ -8,6 +8,9 @@ them is a checkable fact, not a construction):
 * family C: steps (x_l, y_l) with sum(x) = i, sum(y) = j and
   y_1/x_1 < ... < y_k/x_k.
 
+Both composition types check their steps with geometry.check_steps, the
+one chain rule; a D element is checked through its shear d_to_c.
+
 Slopes are compared by integer cross products throughout. Each family is
 produced grouped by increasing step count k, lexicographically within a
 group, so output order is reproducible. k never exceeds min(i, j): every
@@ -26,30 +29,22 @@ coordinate once it fails, so the inner loop stops there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
-from .geometry import ChainPolygon, TriangleSpec
-
-Steps = tuple[tuple[int, int], ...]
+from .geometry import ChainPolygon, Steps, TriangleSpec, check_steps
 
 
 @dataclass(frozen=True)
 class CompositionD:
-    """Steps (a_l, b_l), each 1 <= a < b, with slopes a/b strictly decreasing."""
+    """Steps (a_l, b_l), each 1 <= a < b, with slopes a/b strictly decreasing:
+    check_steps on the shear (a, b - a), which keeps each cross product. A
+    refusal therefore names the sheared steps."""
 
     steps: Steps
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        if not self.steps:
-            raise ValueError("composition needs at least one step")
-        for a, b in self.steps:
-            if a < 1 or b <= a:
-                raise ValueError(f"step ({a},{b}) violates 1 <= a < b")
-        for (a1, b1), (a2, b2) in zip(self.steps, self.steps[1:]):
-            if a1 * b2 <= a2 * b1:
-                raise ValueError(f"slopes must strictly decrease: ({a1},{b1}) then ({a2},{b2})")
+        check_steps(tuple([(a, b - a) for a, b in self.steps]))
 
     @property
     def k(self) -> int:
@@ -64,33 +59,11 @@ class CompositionC:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        if not self.steps:
-            raise ValueError("composition needs at least one step")
-        for x, y in self.steps:
-            if x < 1 or y < 1:
-                raise ValueError(f"step ({x},{y}) must be positive in both coordinates")
-        for (x1, y1), (x2, y2) in zip(self.steps, self.steps[1:]):
-            if x1 * y2 - x2 * y1 <= 0:
-                raise ValueError(f"slopes must strictly increase: ({x1},{y1}) then ({x2},{y2})")
+        check_steps(self.steps)
 
     @property
     def k(self) -> int:
         return len(self.steps)
-
-
-def pair_cross_sum(steps: Steps) -> int:
-    """Sum over l1 < l2 of (a_l1 * b_l2 - a_l2 * b_l1), in O(k): with A, B the
-    sums of the steps before step l2, its pairs add A * b_l2 - a_l2 * B."""
-    total = sum_a = sum_b = 0
-    for a, b in steps:
-        total += sum_a * b - a * sum_b
-        sum_a += a
-        sum_b += b
-    return total
-
-
-def pair_gcd_sum(steps: Steps) -> int:
-    return sum(gcd(a, b) for a, b in steps)
 
 
 def enumerate_D(i: int, n: int) -> Iterator[CompositionD]:
@@ -162,9 +135,7 @@ def composition_to_polygon(c: CompositionC, spec: TriangleSpec) -> ChainPolygon:
 
 def polygon_to_composition(p: ChainPolygon) -> CompositionC:
     """Consecutive vertex differences; inverse of composition_to_polygon."""
-    return CompositionC(
-        tuple((bx - ax, by - ay) for (ax, ay), (bx, by) in zip(p.vertices, p.vertices[1:]))
-    )
+    return CompositionC(p.steps)
 
 
 def enumerate_polygons(spec: TriangleSpec) -> Iterator[ChainPolygon]:

@@ -3,15 +3,19 @@
 Everything here is integer arithmetic: orientation tests are cross
 products, areas are doubled to stay integral, and lattice counts come
 from gcds and Pick's theorem. No floating point anywhere.
+
+The one chain rule, check_steps, and the one pair of chain sums,
+pair_cross_sum and pair_gcd_sum, are written here over step tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 
 Point = tuple[int, int]  # a point of the integer lattice Z^2
+Steps = tuple[tuple[int, int], ...]  # the steps (x, y) of a chain, in order
 
 
 def _require_point(p) -> None:
@@ -20,6 +24,35 @@ def _require_point(p) -> None:
     if not (isinstance(p, tuple) and len(p) == 2
             and type(p[0]) is int and type(p[1]) is int):
         raise TypeError(f"a lattice point is an (x, y) tuple of ints, got {p!r}")
+
+
+def check_steps(steps: Steps) -> None:
+    """Raise ValueError unless steps is a chain: at least one step, each
+    (x, y) with x >= 1 and y >= 1, and slopes y/x strictly increasing, i.e.
+    x1*y2 - x2*y1 > 0 for consecutive steps."""
+    if not steps:
+        raise ValueError("a chain needs at least one step")
+    for x, y in steps:
+        if x < 1 or y < 1:
+            raise ValueError(f"step ({x},{y}) must be positive in both coordinates")
+    for (x1, y1), (x2, y2) in zip(steps, steps[1:]):
+        if x1 * y2 - x2 * y1 <= 0:
+            raise ValueError(f"slopes must strictly increase: ({x1},{y1}) then ({x2},{y2})")
+
+
+def pair_cross_sum(steps: Steps) -> int:
+    """Sum over l1 < l2 of (a_l1 * b_l2 - a_l2 * b_l1), in O(k): with A, B the
+    sums of the steps before step l2, its pairs add A * b_l2 - a_l2 * B."""
+    total = sum_a = sum_b = 0
+    for a, b in steps:
+        total += sum_a * b - a * sum_b
+        sum_a += a
+        sum_b += b
+    return total
+
+
+def pair_gcd_sum(steps: Steps) -> int:
+    return sum(gcd(a, b) for a, b in steps)
 
 
 @dataclass(frozen=True)
@@ -59,13 +92,14 @@ class ChainPolygon:
     from (0,0) to (i,j); the closing hypotenuse edge is implicit.
 
     A 2-vertex chain is the degenerate 2-gon equal to the hypotenuse itself.
-    Edge slopes strictly increase along the chain and every edge moves at
-    least one unit right and one unit up, so the chain stays strictly below
-    the hypotenuse and off the horizontal and vertical triangle edges.
+    The vertex differences, kept as steps, must pass check_steps. So every
+    intermediate vertex has y >= 1 and x <= i - 1, and lies strictly below
+    the hypotenuse, as each step before it is flatter than each one after.
     """
 
     vertices: tuple[Point, ...]
     spec: TriangleSpec
+    steps: Steps = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -78,16 +112,10 @@ class ChainPolygon:
             raise ValueError(f"chain must start at (0,0), got {verts[0]}")
         if verts[-1] != (self.spec.i, self.spec.j):
             raise ValueError(f"chain must end at ({self.spec.i},{self.spec.j}), got {verts[-1]}")
-        for (ax, ay), (bx, by) in zip(verts, verts[1:]):
-            if bx - ax < 1 or by - ay < 1:
-                raise ValueError(f"edge {(ax, ay)}->{(bx, by)} must move right and up by >= 1")
-        for (ax, ay), (bx, by), (cx, cy) in zip(verts, verts[1:], verts[2:]):
-            # slope(a->b) < slope(b->c), compared by cross product
-            if (bx - ax) * (cy - by) - (cx - bx) * (by - ay) <= 0:
-                raise ValueError(f"edge slopes must strictly increase at {(bx, by)}")
-        for v in verts[1:-1]:
-            if not self.spec.contains_interior(v):
-                raise ValueError(f"intermediate vertex {v} not strictly inside the triangle")
+        # a list comprehension: on this per-polygon path a generator is slower
+        steps = tuple([(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:])])
+        check_steps(steps)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def k(self) -> int:
@@ -133,27 +161,24 @@ class PolygonStats:
 
 
 def polygon_stats(poly: ChainPolygon) -> PolygonStats:
-    """The invariants in O(k), from one pass over the chain edges.
+    """The invariants in O(k), from the chain sums over the polygon's steps.
 
     The closing edge (i,j)->(0,0) adds nothing to the shoelace sum, so
-    area2 is a sum over chain edges, and so is the edge-gcd sum G; the
-    hypotenuse adds gcd(i,j) boundary points. Pick's theorem then gives
-    i(P), and TriangleSpec.interior_count gives the triangle's I_T. The
-    triangle interior points outside P are those not inside P and not
-    among the G - 1 chain points strictly between (0,0) and (i,j).
-    The 2-gon is the hypotenuse itself: no area, no interior, u = I_T.
+    area2 is pair_cross_sum over the steps, and the edge-gcd sum G is
+    pair_gcd_sum; the hypotenuse adds gcd(i,j) boundary points. Pick's
+    theorem then gives i(P), and TriangleSpec.interior_count gives the
+    triangle's I_T. The triangle interior points outside P are those not
+    inside P and not among the G - 1 chain points strictly between (0,0)
+    and (i,j). The 2-gon is the hypotenuse itself: no area, no interior,
+    u = I_T.
     """
     spec = poly.spec
     g = gcd(spec.i, spec.j)
     if poly.is_segment:
         return PolygonStats(k=1, v_count=2, interior=0, boundary=g + 1, area2=0,
                             u=spec.interior_count)
-    area2 = 0
-    edge_gcds = 0
-    verts = poly.vertices
-    for (ax, ay), (bx, by) in zip(verts, verts[1:]):
-        area2 += ax * by - bx * ay
-        edge_gcds += gcd(bx - ax, by - ay)
+    area2 = pair_cross_sum(poly.steps)
+    edge_gcds = pair_gcd_sum(poly.steps)
     boundary = edge_gcds + g
     interior = (area2 - boundary + 2) // 2
     return PolygonStats(

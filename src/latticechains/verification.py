@@ -34,14 +34,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .enumeration import (
-    CompositionD,
-    enumerate_D,
-    enumerate_polygons,
-    pair_cross_sum,
-    pair_gcd_sum,
-)
-from .geometry import TriangleSpec, polygon_stats
+from .enumeration import CompositionD, enumerate_D, enumerate_polygons
+from .geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum, polygon_stats
 from .polyalgebra import QHalfPoly, UnitPoly, q_monomial
 
 # names of verify_all's checks, in the order they run

@@ -18,8 +18,6 @@ from latticechains.enumeration import (
     enumerate_C,
     enumerate_D,
     enumerate_polygons,
-    pair_cross_sum,
-    pair_gcd_sum,
 )
 from latticechains.explorer import (
     Signature,
@@ -28,7 +26,7 @@ from latticechains.explorer import (
     search_unit_multisets,
     triangle_signature,
 )
-from latticechains.geometry import TriangleSpec, polygon_stats
+from latticechains.geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum, polygon_stats
 from latticechains.montecarlo import SimulationConfig, compare, simulate
 from latticechains.polyalgebra import QHalfPoly, UnitPoly, q_monomial
 from latticechains.verification import (

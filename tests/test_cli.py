@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -104,6 +105,11 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,0,4,"[[0,0],[1]]"\n'),
     (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,1,4,"[[0,0],[2.9,3.5]]"\n'),
     (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,1,4,"[[0,0],[true,3]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + ' 1,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '+1,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '0_1,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '\u0661,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '01,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
     (records_from_json, "[{}]"),
     (records_from_json, "[1]"),
     (records_from_json, "[[]]"),
@@ -112,7 +118,8 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": "4"}]'),
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": 4, "bogus": 1}]'),
 ], ids=["csv-short-row", "csv-long-row", "csv-no-vertices", "csv-bad-vertex",
-        "csv-float-vertex", "csv-bool-vertex",
+        "csv-float-vertex", "csv-bool-vertex", "csv-space-int", "csv-plus-int",
+        "csv-underscore-int", "csv-nonascii-digit", "csv-leading-zero",
         "json-empty-object", "json-number", "json-list", "json-infinity",
         "json-float", "json-string", "json-extra-key"])
 def test_loaders_name_the_malformed_record(load, text):
@@ -484,3 +491,33 @@ found 3 unit multiset(s)
 {(3,0),(2,1),(1,1),(0,1)}
   triangles up to (4,4): (3,4), (4,3)
 """
+
+
+# sha256 of the stdout of each command perfbench runs
+PINNED_STDOUT = {
+    "verify-sweep-13": (
+        ("verify", "--all-up-to", "13"),
+        "789cdefcd9bd86d178e467aca2a30022218a34a886d45fecbb48b7809abe2570"),
+    "simulate-5-7": (
+        ("simulate", "--i", "5", "--j", "7", "--x", "1/3", "--trials", "20000",
+         "--seed", "7", "--jobs", "1"),
+        "6d196785e7ca04fc7f133b538cbec517fe33ac04afdc8ae088c73df51899c8f5"),
+    "explore-4-3-4": (
+        ("explore", "--max-a", "4", "--max-b", "3", "--max-size", "4",
+         "--max-m", "7", "--max-n", "7"),
+        "7ecbfe989364e718f0f1e02d2078cea7c65d5629e6db9aa0b1469c7154f88c3c"),
+    "enumerate-8-9-csv": (
+        ("enumerate", "--i", "8", "--j", "9", "--format", "csv"),
+        "3453ae838ff173398788f2947bc33e37ed7b0373777a0c792890551c5ffe2fa0"),
+    "enumerate-8-9-json": (
+        ("enumerate", "--i", "8", "--j", "9", "--format", "json"),
+        "b7a9ded64a338b9da12ba4c2fc3d28af9b7320c71e567b5398fa1c47294bc682"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STDOUT)
+def test_benchmark_commands_stdout_is_pinned(capsys, name):
+    argv, digest = PINNED_STDOUT[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

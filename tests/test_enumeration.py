@@ -17,14 +17,14 @@ from latticechains.enumeration import (
     enumerate_C,
     enumerate_D,
     enumerate_polygons,
-    pair_cross_sum,
-    pair_gcd_sum,
     polygon_to_composition,
 )
 from latticechains.geometry import (
     ChainPolygon,
     TriangleSpec,
     convex_hull_chain,
+    pair_cross_sum,
+    pair_gcd_sum,
     polygon_stats,
     triangle_interior_points,
 )
@@ -262,3 +262,57 @@ def test_enumerate_argument_validation():
         list(enumerate_D(3, 3))
     with pytest.raises(ValueError):
         list(enumerate_C(0, 2))
+
+
+# ---------------------------------------------------------------------------
+# one chain rule: each constructor accepts exactly its rule written out longhand
+
+
+def longhand_rule_C(steps):
+    return (len(steps) >= 1
+            and all(x >= 1 and y >= 1 for x, y in steps)
+            and all(x1 * y2 - x2 * y1 > 0 for (x1, y1), (x2, y2) in zip(steps, steps[1:])))
+
+
+def longhand_rule_D(steps):
+    return (len(steps) >= 1
+            and all(a >= 1 and b > a for a, b in steps)
+            and all(a1 * b2 > a2 * b1 for (a1, b1), (a2, b2) in zip(steps, steps[1:])))
+
+
+def longhand_rule_chain_polygon(verts, i, j):
+    """Endpoints, edges moving right and up, strictly increasing slopes, and
+    every intermediate vertex strictly inside the triangle."""
+    edges = list(zip(verts, verts[1:]))
+    return (len(verts) >= 2 and verts[0] == (0, 0) and verts[-1] == (i, j)
+            and all(bx - ax >= 1 and by - ay >= 1 for (ax, ay), (bx, by) in edges)
+            and all((bx - ax) * (cy - by) - (cx - bx) * (by - ay) > 0
+                    for (ax, ay), (bx, by), (cx, cy) in zip(verts, verts[1:], verts[2:]))
+            and all(y > 0 and x < i and j * x - i * y > 0 for x, y in verts[1:-1]))
+
+
+def accepts(make, *args):
+    try:
+        make(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_compositions_accept_exactly_their_longhand_rules():
+    steps = list(product(range(-1, 5), repeat=2))
+    for k in range(4):
+        for tup in product(steps, repeat=k):
+            assert accepts(CompositionC, tup) == longhand_rule_C(tup), tup
+            assert accepts(CompositionD, tup) == longhand_rule_D(tup), tup
+
+
+def test_chain_polygon_accepts_exactly_its_longhand_rule():
+    for i, j in product(range(1, 6), repeat=2):
+        spec = TriangleSpec(i, j)
+        points = list(product(range(-1, i + 2), range(-1, j + 2)))
+        for middle_count in range(3):
+            for middle in product(points, repeat=middle_count):
+                verts = ((0, 0), *middle, (i, j))
+                assert (accepts(ChainPolygon, verts, spec)
+                        == longhand_rule_chain_polygon(verts, i, j)), verts
