@@ -58,23 +58,28 @@ def pair_gcd_sum(steps: Steps) -> int:
 @dataclass(frozen=True)
 class TriangleSpec:
     """The right triangle with corners (0,0), (i,0), (i,j); its hypotenuse
-    runs from (0,0) to (i,j) and is called the closing segment below."""
+    runs from (0,0) to (i,j) and is called the closing segment below.
+
+    Two per-triangle constants are set once, at construction: g = gcd(i, j),
+    so the hypotenuse holds g + 1 lattice points, and interior_count, I_T,
+    the lattice points strictly inside, by Pick's theorem.
+    """
 
     i: int
     j: int
+    g: int = field(init=False, compare=False, repr=False)
+    interior_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.i < 1 or self.j < 1:
             raise ValueError(f"triangle legs must be >= 1, got i={self.i}, j={self.j}")
+        g = gcd(self.i, self.j)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "interior_count", (self.i * self.j - self.n - g + 2) // 2)
 
     @property
     def n(self) -> int:
         return self.i + self.j
-
-    @property
-    def interior_count(self) -> int:
-        """I_T, the lattice points strictly inside, by Pick's theorem."""
-        return (self.i * self.j - self.n - gcd(self.i, self.j) + 2) // 2
 
     @property
     def corners(self) -> tuple[Point, Point, Point]:
@@ -173,13 +178,12 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     u = I_T.
     """
     spec = poly.spec
-    g = gcd(spec.i, spec.j)
     if poly.is_segment:
-        return PolygonStats(k=1, v_count=2, interior=0, boundary=g + 1, area2=0,
+        return PolygonStats(k=1, v_count=2, interior=0, boundary=spec.g + 1, area2=0,
                             u=spec.interior_count)
     area2 = pair_cross_sum(poly.steps)
     edge_gcds = pair_gcd_sum(poly.steps)
-    boundary = edge_gcds + g
+    boundary = edge_gcds + spec.g
     interior = (area2 - boundary + 2) // 2
     return PolygonStats(
         k=poly.k,
@@ -191,25 +195,14 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     )
 
 
-def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
-    """Chain polygon whose closed region is the convex hull of (0,0), (i,j)
-    and the chosen points.
-
-    The chosen points must be strictly interior to the triangle; they then
-    all lie strictly below the hypotenuse, so the hull's upper boundary is
-    the hypotenuse itself and its lower boundary is the monotone lower hull
-    computed here. Every chosen point must be an (x, y) tuple of ints,
-    extreme or not. Collinear non-extreme points are dropped. An empty
-    selection yields the 2-gon.
-    """
-    coords = {(0, 0), (spec.i, spec.j)}
-    for p in chosen:
-        _require_point(p)
-        if not spec.contains_interior(p):
-            raise ValueError(f"point {p} is not strictly interior to the triangle")
-        coords.add(p)
+def lower_hull(points) -> tuple[Point, ...]:
+    """The lower convex hull of points given in increasing (x, y) order, as
+    the chain of its vertices from the first point to the last (Andrew's
+    monotone chain). A point on or above the segment between its hull
+    neighbours is dropped, so collinear middle points are too. The points
+    are not checked: convex_hull_chain is the validating entry point."""
     hull: list[Point] = []
-    for point in sorted(coords):
+    for point in points:
         x, y = point
         # pop the last hull point while it and its predecessor do not turn left to (x, y)
         while len(hull) >= 2:
@@ -219,4 +212,24 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
                 break
             hull.pop()
         hull.append(point)
-    return ChainPolygon(tuple(hull), spec)
+    return tuple(hull)
+
+
+def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
+    """Chain polygon whose closed region is the convex hull of (0,0), (i,j)
+    and the chosen points.
+
+    The chosen points must be strictly interior to the triangle; they then
+    all lie strictly below the hypotenuse, so the hull's upper boundary is
+    the hypotenuse itself and its lower boundary is lower_hull of the
+    sorted points. Every chosen point must be an (x, y) tuple of ints,
+    extreme or not. Collinear non-extreme points are dropped. An empty
+    selection yields the 2-gon.
+    """
+    coords = {(0, 0), (spec.i, spec.j)}
+    for p in chosen:
+        _require_point(p)
+        if not spec.contains_interior(p):
+            raise ValueError(f"point {p} is not strictly interior to the triangle")
+        coords.add(p)
+    return ChainPolygon(lower_hull(sorted(coords)), spec)

@@ -19,19 +19,27 @@ base-den digit p of r mod M is < num: n independent exact coins of bias
 num/den, with no floats anywhere. A trial's outcome depends only on
 (seed, trial index), so splitting the trial range across processes
 changes nothing; merged tallies are identical to the serial run.
+
+Hulls are tallied by their vertex chain. Each distinct mask's chosen
+points, already in lexicographic order between (0,0) and (i,j), go
+straight to geometry.lower_hull with no sort and no checks, and the
+counts are summed per vertex tuple. Many masks share one hull, so only
+then is one ChainPolygon built per distinct chain: the public
+constructor still validates every hull in the table, once.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from math import inf, sqrt
 
 from .enumeration import enumerate_polygons
-from .geometry import ChainPolygon, TriangleSpec, convex_hull_chain, polygon_stats, triangle_interior_points
+from .geometry import ChainPolygon, TriangleSpec, lower_hull, polygon_stats, triangle_interior_points
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def mask_decoder(num: int, den: int, npoints: int):
     return decode
 
 
-def _count_masks(seed: int, start: int, stop: int, num: int, den: int, npoints: int) -> dict:
+def _count_masks(seed: int, start: int, stop: int, num: int, den: int, npoints: int) -> Counter:
     """Tally chosen-point bitmasks for trials start..stop-1 (stream 2)."""
     modulus = den ** npoints
     nblocks = -(-(modulus.bit_length() + 64) // 256)
@@ -115,55 +123,70 @@ def _count_masks(seed: int, start: int, stop: int, num: int, den: int, npoints: 
     pack = struct.Struct(">QQQ").pack
     from_bytes = int.from_bytes
     sha = sha256
-    tallies: dict[int, int] = {}
-    for trial in range(start, stop):
-        block = 0
-        while True:
-            if nblocks == 1:  # the common case, up to ~120 points at den 3: no join
-                r = from_bytes(sha(pack(seed, trial, block)).digest(), "big")
-            else:
-                r = from_bytes(b"".join([sha(pack(seed, trial, b)).digest()
-                                         for b in range(block, block + nblocks)]), "big")
-            if r < limit:
-                break
-            block += nblocks
-        mask = decode(r % modulus)
-        tallies[mask] = tallies.get(mask, 0) + 1
-    return tallies
+
+    def masks():
+        for trial in range(start, stop):
+            block = 0
+            while True:
+                if nblocks == 1:  # the common case, up to ~120 points at den 3: no join
+                    r = from_bytes(sha(pack(seed, trial, block)).digest(), "big")
+                else:
+                    r = from_bytes(b"".join([sha(pack(seed, trial, b)).digest()
+                                             for b in range(block, block + nblocks)]), "big")
+                if r < limit:
+                    break
+                block += nblocks
+            yield decode(r % modulus)
+
+    return Counter(masks())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, which a CPU limit can make smaller than the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _hull_counts(tallies, spec: TriangleSpec) -> dict:
+    """The ChainPolygon -> count table of a mask -> count tally: each mask's
+    lower hull is summed by vertex chain, then validated as one ChainPolygon
+    per distinct chain."""
+    interior = triangle_interior_points(spec)
+    origin, corner = (0, 0), (spec.i, spec.j)
+    chains: dict[tuple, int] = {}
+    for mask, c in tallies.items():
+        chain = lower_hull([origin, *[pt for bit, pt in enumerate(interior) if mask >> bit & 1], corner])
+        chains[chain] = chains.get(chain, 0) + c
+    return {ChainPolygon(chain, spec): c for chain, c in chains.items()}
 
 
 def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
     """Run config.trials rounds; deterministic for fixed (seed, trials)."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    interior = triangle_interior_points(config.spec)
+    npoints = config.spec.interior_count
     num, den = config.x.numerator, config.x.denominator
 
     if jobs == 1 or config.trials < 2 * jobs:
-        tallies = _count_masks(config.seed, 0, config.trials, num, den, len(interior))
+        tallies = _count_masks(config.seed, 0, config.trials, num, den, npoints)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only this branch pays for it
 
         per = -(-config.trials // jobs)
         bounds = [(t, min(t + per, config.trials)) for t in range(0, config.trials, per)]
-        tallies = {}
-        # jobs chunks, but never more worker processes than cores: the pool
-        # starts all of its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        tallies = Counter()
+        # jobs chunks, but never more worker processes than usable CPUs: the
+        # pool starts all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, _usable_cpus())) as pool:
             futures = [
-                pool.submit(_count_masks, config.seed, a, b, num, den, len(interior))
+                pool.submit(_count_masks, config.seed, a, b, num, den, npoints)
                 for a, b in bounds
             ]
             for fut in futures:
-                for mask, c in fut.result().items():
-                    tallies[mask] = tallies.get(mask, 0) + c
-
-    counts: dict[ChainPolygon, int] = {}
-    for mask, c in tallies.items():
-        chosen = [pt for bit, pt in enumerate(interior) if mask >> bit & 1]
-        poly = convex_hull_chain(chosen, config.spec)
-        counts[poly] = counts.get(poly, 0) + c
-    return FrequencyTable(counts)
+                tallies.update(fut.result())
+    return FrequencyTable(_hull_counts(tallies, config.spec))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from .enumeration import CompositionD, enumerate_D, enumerate_polygons
@@ -101,7 +100,7 @@ def signature_pairs(spec: TriangleSpec) -> list:
 def _polygon_form(signature, spec: TriangleSpec) -> QHalfPoly:
     """Sum of (q - 1)^w * q^(top - u - w) over the signature {(u, w): mult},
     top = I_T + 1 + g, as v^(2*(top - u)) * (1 - v^-2)^w."""
-    top = spec.interior_count + 1 + gcd(spec.i, spec.j)
+    top = spec.interior_count + 1 + spec.g
     histogram = {(2 * (top - u), w): mult for (u, w), mult in signature.items()}
     return QHalfPoly.fold_terms(histogram, step=-2)
 
@@ -118,7 +117,7 @@ def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
 
 
 def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
-    return q_monomial(spec.i * spec.j - spec.n + gcd(spec.i, spec.j) + 4)
+    return q_monomial(spec.i * spec.j - spec.n + spec.g + 4)
 
 
 def unit_sum(spec: TriangleSpec) -> UnitPoly:
@@ -140,7 +139,6 @@ def verify_all(i: int, n: int) -> IdentityReport:
     if i < 1 or n <= i:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
     spec = TriangleSpec(i, n - i)
-    g = gcd(spec.i, spec.j)
 
     ledger = _d_ledger(i, n)
     lhs = _d_form(ledger)
@@ -153,7 +151,7 @@ def verify_all(i: int, n: int) -> IdentityReport:
         ("polygon_form", poly_lhs == rhs_main_via_polygons(spec)),
         ("unit_sum", _unit_form(signature, swap=False) == UnitPoly.one()),
         ("unit_sum_process", _unit_form(signature, swap=True) == UnitPoly.one()),
-        ("form_consistency", poly_lhs == lhs * q_monomial(2 + g)),
+        ("form_consistency", poly_lhs == lhs * q_monomial(2 + spec.g)),
     )
     failed = next((name for name, ok in results if not ok), None)
     return IdentityReport(

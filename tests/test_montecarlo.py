@@ -9,12 +9,19 @@ import pytest
 
 from latticechains.enumeration import composition_to_polygon, enumerate_polygons
 from latticechains.enumeration import CompositionC
-from latticechains.geometry import ChainPolygon, TriangleSpec, hypotenuse
+from latticechains.geometry import (
+    ChainPolygon,
+    TriangleSpec,
+    convex_hull_chain,
+    hypotenuse,
+    triangle_interior_points,
+)
 from latticechains import montecarlo
 from latticechains.montecarlo import (
     FrequencyTable,
     SimulationConfig,
     _count_masks,
+    _hull_counts,
     compare,
     exact_prob,
     mask_decoder,
@@ -117,9 +124,49 @@ def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    # no affinity call on this platform: the host's count is the cap
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
     cfg = SimulationConfig(TriangleSpec(4, 5), Fraction(1, 3), 640, 5)
     assert simulate(cfg, jobs=64).counts == simulate(cfg, jobs=1).counts
     assert InlineExecutor.max_workers == [2]
+    # a process limited to one of the host's two CPUs gets one worker
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert simulate(cfg, jobs=64).counts == simulate(cfg, jobs=1).counts
+    assert InlineExecutor.max_workers == [2, 1]
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_each_mask_is_tallied_as_its_validated_hull(i):
+    for j in range(1, 7):
+        spec = TriangleSpec(i, j)
+        interior = triangle_interior_points(spec)
+        for mask in range(1 << len(interior)):
+            chosen = [pt for bit, pt in enumerate(interior) if mask >> bit & 1]
+            assert _hull_counts({mask: 3}, spec) == {convex_hull_chain(chosen, spec): 3}
+
+
+def test_collinear_chosen_points_leave_the_hull():
+    # (2,1) lies on the edge from (0,0) to (4,2), so it is no vertex
+    spec = TriangleSpec(6, 4)
+    interior = triangle_interior_points(spec)
+    mask = 1 << interior.index((2, 1)) | 1 << interior.index((4, 2))
+    assert _hull_counts({mask: 1}, spec) == {chain(spec, (4, 2)): 1}
+
+
+def test_simulate_builds_one_polygon_per_distinct_hull(monkeypatch):
+    cfg = SimulationConfig(TriangleSpec(5, 7), Fraction(1, 3), 2000, 7)
+    built = []
+    post_init = ChainPolygon.__post_init__
+
+    def counting(self):
+        built.append(self.vertices)
+        post_init(self)
+
+    monkeypatch.setattr(ChainPolygon, "__post_init__", counting)
+    table = simulate(cfg)
+    masks = _count_masks(cfg.seed, 0, cfg.trials, 1, 3, cfg.spec.interior_count)
+    assert len(built) <= len(table.counts) < len(masks)
+    assert table.total == cfg.trials
 
 
 def test_different_seeds_differ():
