@@ -22,7 +22,7 @@ from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, TriangleSpec, polygon_stats, triangle_interior_points
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
-from .verification import polygon_term_doubled_exponent, verify_all
+from .verification import verify_all
 
 # The record schema: each JSON key and CSV column, in CSV column order, and
 # the PolygonRecord attribute it holds. The vertices are the last CSV column
@@ -57,7 +57,7 @@ class PolygonRecord:
             b_p=s.boundary,
             area2=s.area2,
             u=s.u,
-            exponent_doubled=polygon_term_doubled_exponent(s.k, s.interior, s.boundary),
+            exponent_doubled=2 * (s.interior + s.boundary - (s.k - 1)),
         )
 
     def to_json_obj(self) -> dict:
@@ -104,13 +104,16 @@ def _load_record(number: int, parse, raw) -> PolygonRecord:
     try:
         record = parse(raw)
         record.validate()
-    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
         raise ValueError(f"record {number}: {exc}") from exc
     return record
 
 
 def records_from_json(text: str) -> list:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON document nested too deeply: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError("expected a JSON list of records")
     return [_load_record(number, PolygonRecord.from_json_obj, obj)
@@ -130,7 +133,10 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from exc
     if not rows or rows[0] != CSV_COLUMNS:
         raise ValueError(f"expected header {','.join(CSV_COLUMNS)}")
     return [_load_record(number, _record_from_csv_row, row)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .geometry import TriangleSpec
 from .polyalgebra import UnitPoly
-from .verification import signature_pairs
+from .verification import signature
 
 Pair = tuple[int, int]
 
@@ -55,7 +55,7 @@ class Signature:
 
 
 def triangle_signature(m: int, n: int) -> Signature:
-    return Signature(tuple(signature_pairs(TriangleSpec(m, n))))
+    return Signature(tuple(signature(TriangleSpec(m, n)).elements()))
 
 
 def unit_sum_of(sig: Signature) -> UnitPoly:

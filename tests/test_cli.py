@@ -20,6 +20,7 @@ from latticechains.cli import (
     records_to_json,
 )
 from latticechains.geometry import TriangleSpec
+from latticechains.polyalgebra import q_monomial
 
 
 CSV_HEADER_LINE = ",".join(CSV_COLUMNS) + "\n"
@@ -42,6 +43,31 @@ def test_verify_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--all-up-to", "8")
     assert code == 0
     assert "28/28 pairs pass" in out
+
+
+VERIFY_FAILURE_REPORT = """\
+i=2 n=5: lhs = q^(3/2), rhs = q^(5/2)  FAIL
+  first failed check: d_form
+  d_form: FAIL
+  polygon_form: pass
+  unit_sum: pass
+  unit_sum_process: pass
+  form_consistency: pass
+  term ledger (steps, k, doubled exponent):
+    ((2, 5),) k=1 exp2=1
+    ((1, 2), (1, 3)) k=2 exp2=1
+"""
+
+
+def test_verify_failure_report_is_pinned(capsys, monkeypatch):
+    import latticechains.verification as verification
+
+    monkeypatch.setattr(
+        verification, "rhs_main", lambda i, n: q_monomial(i * (n - i) - n + 4)
+    )
+    code, out, _ = run(capsys, "verify", "--i", "2", "--n", "5")
+    assert code == 1
+    assert out == VERIFY_FAILURE_REPORT
 
 
 def test_verify_usage_errors(capsys):
@@ -110,6 +136,7 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_csv, CSV_HEADER_LINE + '0_1,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
     (records_from_csv, CSV_HEADER_LINE + '\u0661,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
     (records_from_csv, CSV_HEADER_LINE + '01,2,0,2,0,1,4,"[[0,0],[2,3]]"\n'),
+    (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,1,4,"' + "[" * 30000 + '"\n'),
     (records_from_json, "[{}]"),
     (records_from_json, "[1]"),
     (records_from_json, "[[]]"),
@@ -119,7 +146,7 @@ GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, 
     (records_from_json, "[{" + GOOD_JSON_FIELDS + ', "exponentDoubled": 4, "bogus": 1}]'),
 ], ids=["csv-short-row", "csv-long-row", "csv-no-vertices", "csv-bad-vertex",
         "csv-float-vertex", "csv-bool-vertex", "csv-space-int", "csv-plus-int",
-        "csv-underscore-int", "csv-nonascii-digit", "csv-leading-zero",
+        "csv-underscore-int", "csv-nonascii-digit", "csv-leading-zero", "csv-deep-vertices",
         "json-empty-object", "json-number", "json-list", "json-infinity",
         "json-float", "json-string", "json-extra-key"])
 def test_loaders_name_the_malformed_record(load, text):
@@ -130,6 +157,15 @@ def test_loaders_name_the_malformed_record(load, text):
 def test_json_loader_rejects_non_list():
     with pytest.raises(ValueError):
         records_from_json('{"k": 1}')
+
+
+@pytest.mark.parametrize("load,text", [
+    (records_from_json, "[" * 100000 + "]" * 100000),
+    (records_from_csv, CSV_HEADER_LINE + '1,2,0,2,0,1,4,"' + "0" * 131073 + '"\n'),
+], ids=["json-deep-document", "csv-oversized-field"])
+def test_loaders_refuse_documents_past_parser_limits(load, text):
+    with pytest.raises(ValueError):
+        load(text)
 
 
 def test_csv_loader_rejects_wrong_header():

@@ -6,12 +6,15 @@ multiplication, over the brute-force enumeration from test_enumeration.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
-from latticechains.geometry import TriangleSpec, polygon_stats
+from latticechains import enumeration
+from latticechains.explorer import triangle_signatures
+from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
 from latticechains.enumeration import enumerate_D, enumerate_polygons
 from latticechains.polyalgebra import QHalfPoly, UnitPoly, q_monomial
 from latticechains.verification import (
@@ -21,6 +24,7 @@ from latticechains.verification import (
     lhs_main_via_polygons,
     rhs_main,
     rhs_main_via_polygons,
+    signature,
     unit_sum,
     unit_sum_process,
     verify_all,
@@ -182,3 +186,46 @@ def test_violation_is_reported_not_raised(monkeypatch):
     assert dict(report.checks)["d_form"] is False
     # untampered checks still pass and are reported
     assert dict(report.checks)["unit_sum"] is True
+
+
+@pytest.mark.parametrize("i", range(1, 13))
+def test_signature_matches_pick_route(i):
+    # the key route against polygon_stats over validated chain polygons
+    for j in range(1, 13):
+        spec = TriangleSpec(i, j)
+        pick = Counter((s.u, s.v_count - 2) for s in map(polygon_stats, enumerate_polygons(spec)))
+        assert signature(spec) == pick
+
+
+def count_validations(monkeypatch) -> Counter:
+    """Count check_steps calls made through enumeration, and polygons built."""
+    counts = Counter()
+    check_steps = enumeration.check_steps
+    post_init = ChainPolygon.__post_init__
+
+    def counting_check(steps):
+        counts["check_steps"] += 1
+        check_steps(steps)
+
+    def counting_post_init(self):
+        counts["polygons"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(enumeration, "check_steps", counting_check)
+    monkeypatch.setattr(ChainPolygon, "__post_init__", counting_post_init)
+    return counts
+
+
+def test_verify_checks_each_chain_once_and_builds_no_polygon(monkeypatch):
+    counts = count_validations(monkeypatch)
+    for n in range(2, 14):
+        for i in range(1, n):
+            assert verify_all(i, n).all_passed
+    # |D| + |C| = 611 + 611 over the 78 pairs
+    assert counts == {"check_steps": 1222}
+
+
+def test_triangle_signatures_check_each_chain_once_and_build_no_polygon(monkeypatch):
+    counts = count_validations(monkeypatch)
+    triangle_signatures(7, 7)
+    assert counts == {"check_steps": 398}  # |C| over the 49 triangles
