@@ -174,12 +174,13 @@ def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
     else:
         from concurrent.futures import ProcessPoolExecutor  # only this branch pays for it
 
-        per = -(-config.trials // jobs)
+        # never more worker processes than usable CPUs (the pool starts all of
+        # its workers at the first submit), and one chunk of trials per worker
+        workers = min(jobs, _usable_cpus())
+        per = -(-config.trials // workers)
         bounds = [(t, min(t + per, config.trials)) for t in range(0, config.trials, per)]
         tallies = Counter()
-        # jobs chunks, but never more worker processes than usable CPUs: the
-        # pool starts all of its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, _usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_count_masks, config.seed, a, b, num, den, npoints)
                 for a, b in bounds

@@ -17,17 +17,19 @@ All comparisons are exact polynomial equalities. Half-integer q-exponents
 are carried as doubled integers, so every coefficient stays an int.
 
 Every form is one shift of a key histogram {(key, k): mult}, counted once
-per family from enumerate_D or enumerate_C, where key = cross + gcdsum over
-a chain's steps; fold_terms expands each distinct key once, times its
-multiplicity. Both sums survive the shear (a, b) -> (a, b - a) from D to C,
-and on a C chain they are its polygon's area2 and edge-gcd sum G. With
-q = v^2, a D term is v^key * (1 - v^-2)^(k-1). By Pick, 2(i(P) + b(P)) =
-key + g + 2 (g = gcd(i,j)), the 2-gon included: the polygon form is the C
-histogram shifted by g + 2. The unit sums fold the signature, where
+per family straight off the unsorted walk chains_D or chains_C, where
+key = cross + gcdsum over a chain's bare steps; fold_terms expands each
+distinct key once, times its multiplicity. Both sums survive the shear
+(a, b) -> (a, b - a) from D to C, and on a C chain they are its polygon's
+area2 and edge-gcd sum G. With q = v^2, a D term is
+v^key * (1 - v^-2)^(k-1). By Pick, 2(i(P) + b(P)) = key + g + 2
+(g = gcd(i,j)), the 2-gon included: the polygon form is the C histogram
+shifted by g + 2. The unit sums fold the signature, where
 u(P) = I_T - (key - g)/2 (I_T the triangle's interior count) and
 v(P) - 2 = k - 1. So polygon_form and unit_sum test one identity, and
 form_consistency ties the C family to the separately enumerated D family.
-No chain polygon is built on this path.
+No composition or chain polygon is built on this path, and check_steps
+runs on no chain: the walks' step conditions are the chain rule.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .enumeration import CompositionD, enumerate_C, enumerate_D
+from .enumeration import CompositionD, chains_C, chains_D, enumerate_D
 from .geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum
 from .polyalgebra import QHalfPoly, UnitPoly, q_monomial
 
@@ -75,9 +77,9 @@ def d_term_doubled_exponent(d: CompositionD) -> int:
     return 2 * (1 - d.k) + pair_cross_sum(d.steps) + pair_gcd_sum(d.steps)
 
 
-def _term_keys(compositions) -> Counter:
-    """{(cross + gcdsum, k): mult} over the compositions' steps."""
-    return Counter((pair_cross_sum(c.steps) + pair_gcd_sum(c.steps), c.k) for c in compositions)
+def _term_keys(chains) -> Counter:
+    """{(cross + gcdsum, k): mult} over the chains' steps."""
+    return Counter((pair_cross_sum(s) + pair_gcd_sum(s), len(s)) for s in chains)
 
 
 def _q_form(keys, shift: int) -> QHalfPoly:
@@ -100,7 +102,7 @@ def _unit_form(sig, swap: bool) -> UnitPoly:
 
 
 def lhs_main_via_D(i: int, n: int) -> QHalfPoly:
-    return _q_form(_term_keys(enumerate_D(i, n)), 0)
+    return _q_form(_term_keys(chains_D(i, n)), 0)
 
 
 def rhs_main(i: int, n: int) -> QHalfPoly:
@@ -111,11 +113,11 @@ def rhs_main(i: int, n: int) -> QHalfPoly:
 
 def signature(spec: TriangleSpec) -> Counter:
     """{(u(P), v(P)-2): mult} over the polygon family of the triangle."""
-    return _signature(_term_keys(enumerate_C(spec.i, spec.j)), spec)
+    return _signature(_term_keys(chains_C(spec.i, spec.j)), spec)
 
 
 def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
-    return _q_form(_term_keys(enumerate_C(spec.i, spec.j)), spec.g + 2)
+    return _q_form(_term_keys(chains_C(spec.i, spec.j)), spec.g + 2)
 
 
 def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
@@ -141,7 +143,7 @@ def verify_all(i: int, n: int) -> IdentityReport:
     rhs = rhs_main(i, n)  # refuses a bad (i, n) first
     spec = TriangleSpec(i, n - i)
     lhs = lhs_main_via_D(i, n)
-    c_keys = _term_keys(enumerate_C(spec.i, spec.j))
+    c_keys = _term_keys(chains_C(spec.i, spec.j))
     poly_lhs = _q_form(c_keys, spec.g + 2)
     sig = _signature(c_keys, spec)
     results = (

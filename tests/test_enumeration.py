@@ -12,6 +12,8 @@ from latticechains.enumeration import (
     CompositionC,
     CompositionD,
     c_to_d,
+    chains_C,
+    chains_D,
     composition_to_polygon,
     d_to_c,
     enumerate_C,
@@ -22,6 +24,7 @@ from latticechains.enumeration import (
 from latticechains.geometry import (
     ChainPolygon,
     TriangleSpec,
+    check_steps,
     convex_hull_chain,
     pair_cross_sum,
     pair_gcd_sum,
@@ -108,17 +111,35 @@ def k_then_lex(steps):
     return (len(steps), steps)
 
 
-@pytest.mark.parametrize("n", range(2, 12))
-def test_D_sequence_is_the_oracle_in_k_then_lex_order(n):
+def with_walks(sizes):
+    """Each size for the enumerator, then again for the bare walk ("walk-")."""
+    return ([pytest.param(size, False, id=str(size)) for size in sizes]
+            + [pytest.param(size, True, id=f"walk-{size}") for size in sizes])
+
+
+@pytest.mark.parametrize("n, walk", with_walks(range(2, 12)))
+def test_D_sequence_is_the_oracle_in_k_then_lex_order(n, walk):
     # the sequence itself, not only the set: pruning may drop empty branches only
     for i in range(1, n):
-        assert [d.steps for d in enumerate_D(i, n)] == sorted(oracle_D(i, n), key=k_then_lex)
+        if walk:  # unsorted and unvalidated: plain lexicographic order, each a chain
+            seq = list(chains_D(i, n))
+            assert seq == sorted(oracle_D(i, n))
+            for steps in seq:
+                check_steps(tuple((a, b - a) for a, b in steps))
+        else:
+            assert [d.steps for d in enumerate_D(i, n)] == sorted(oracle_D(i, n), key=k_then_lex)
 
 
-@pytest.mark.parametrize("j", range(1, 9))
-def test_C_sequence_is_the_oracle_in_k_then_lex_order(j):
+@pytest.mark.parametrize("j, walk", with_walks(range(1, 9)))
+def test_C_sequence_is_the_oracle_in_k_then_lex_order(j, walk):
     for i in range(1, 9):
-        assert [c.steps for c in enumerate_C(i, j)] == sorted(oracle_C(i, j), key=k_then_lex)
+        if walk:
+            seq = list(chains_C(i, j))
+            assert seq == sorted(oracle_C(i, j))
+            for steps in seq:
+                check_steps(steps)
+        else:
+            assert [c.steps for c in enumerate_C(i, j)] == sorted(oracle_C(i, j), key=k_then_lex)
 
 
 def test_output_grouped_by_k_then_lex():

@@ -105,11 +105,14 @@ def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
     import concurrent.futures
 
     class InlineExecutor:
-        """Records max_workers and runs each task at submit; starts no process."""
+        """Records max_workers and the submits per pool, and runs each task
+        at submit; starts no process."""
         max_workers = []
+        submits = []
 
         def __init__(self, max_workers):
             self.max_workers.append(max_workers)
+            self.submits.append(0)
 
         def __enter__(self):
             return self
@@ -118,6 +121,7 @@ def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            self.submits[-1] += 1
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
@@ -133,6 +137,8 @@ def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert simulate(cfg, jobs=64).counts == simulate(cfg, jobs=1).counts
     assert InlineExecutor.max_workers == [2, 1]
+    # one chunk of trials per worker, not one per requested job
+    assert InlineExecutor.submits == [2, 1]
 
 
 @pytest.mark.parametrize("i", range(1, 7))

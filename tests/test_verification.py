@@ -6,13 +6,16 @@ multiplication, over the brute-force enumeration from test_enumeration.
 """
 
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
-from latticechains import enumeration
+from latticechains import enumeration, geometry
+from latticechains.cli import records_for
 from latticechains.explorer import triangle_signatures
 from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
 from latticechains.enumeration import enumerate_D, enumerate_polygons
@@ -198,34 +201,58 @@ def test_signature_matches_pick_route(i):
 
 
 def count_validations(monkeypatch) -> Counter:
-    """Count check_steps calls made through enumeration, and polygons built."""
+    """Count check_steps calls, through the enumeration and geometry
+    bindings both, and the compositions and polygons built."""
     counts = Counter()
-    check_steps = enumeration.check_steps
-    post_init = ChainPolygon.__post_init__
+    check_steps = geometry.check_steps
 
     def counting_check(steps):
         counts["check_steps"] += 1
         check_steps(steps)
 
-    def counting_post_init(self):
-        counts["polygons"] += 1
-        post_init(self)
-
     monkeypatch.setattr(enumeration, "check_steps", counting_check)
-    monkeypatch.setattr(ChainPolygon, "__post_init__", counting_post_init)
+    monkeypatch.setattr(geometry, "check_steps", counting_check)
+    for name, cls in (("compositions", enumeration.CompositionC),
+                      ("compositions", enumeration.CompositionD),
+                      ("polygons", ChainPolygon)):
+        def counting_post_init(self, name=name, post_init=cls.__post_init__):
+            counts[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
     return counts
 
 
-def test_verify_checks_each_chain_once_and_builds_no_polygon(monkeypatch):
+def test_verify_checks_no_chain_and_builds_no_object(monkeypatch):
     counts = count_validations(monkeypatch)
     for n in range(2, 14):
         for i in range(1, n):
             assert verify_all(i, n).all_passed
-    # |D| + |C| = 611 + 611 over the 78 pairs
-    assert counts == {"check_steps": 1222}
+    assert counts == {}  # the parent checked |D| + |C| = 611 + 611 chains
 
 
-def test_triangle_signatures_check_each_chain_once_and_build_no_polygon(monkeypatch):
+def test_triangle_signatures_check_no_chain_and_build_no_object(monkeypatch):
     counts = count_validations(monkeypatch)
     triangle_signatures(7, 7)
-    assert counts == {"check_steps": 398}  # |C| over the 49 triangles
+    assert counts == {}
+
+
+def test_enumerate_records_check_each_chain_once(monkeypatch):
+    counts = count_validations(monkeypatch)
+    assert len(records_for(TriangleSpec(8, 9))) == 149
+    assert counts == {"check_steps": 149, "polygons": 149}
+
+
+def test_signature_streams_the_walk():
+    # the proof path counts keys off the walk; a sorted list of the family
+    # would hold every step tuple at once
+    spec = TriangleSpec(14, 14)
+    family_bytes = sum(sys.getsizeof(steps) for steps in enumeration.chains_C(spec.i, spec.j))
+    signature(spec)
+    tracemalloc.start()
+    try:
+        signature(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak * 4 < family_bytes
