@@ -20,12 +20,18 @@ num/den, with no floats anywhere. A trial's outcome depends only on
 (seed, trial index), so splitting the trial range across processes
 changes nothing; merged tallies are identical to the serial run.
 
-Hulls are tallied by their vertex chain. Each distinct mask's chosen
-points, already in lexicographic order between (0,0) and (i,j), go
-straight to geometry.lower_hull with no sort and no checks, and the
-counts are summed per vertex tuple. Many masks share one hull, so only
-then is one ChainPolygon built per distinct chain: the public
-constructor still validates every hull in the table, once.
+Hulls are tallied by their vertex chain. A chosen point directly above
+another chosen point lies strictly above the hull's lower boundary, so
+it is never a lower-hull vertex: only the column minima matter. Each
+distinct mask is cut down to them (column x is a contiguous bit range
+of the mask, y increasing, so its minimum is the range's lowest set
+bit), and the counts are summed per set of minima. Each set, already
+in lexicographic order between (0,0) and (i,j), goes straight to
+geometry.lower_hull with no sort and no checks, and the counts are
+summed per vertex tuple. Only then is one ChainPolygon built per
+distinct chain: the public constructor still validates every hull in
+the table, once. At (5,7), x = 1/3, 20,000 trials and seed 7, 3,289
+masks give 180 sets of column minima and 23 hulls.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
+from itertools import groupby
 from math import inf, sqrt
+from operator import itemgetter
 
 from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, TriangleSpec, lower_hull, polygon_stats, triangle_interior_points
@@ -150,14 +158,29 @@ def _usable_cpus() -> int:
 
 
 def _hull_counts(tallies, spec: TriangleSpec) -> dict:
-    """The ChainPolygon -> count table of a mask -> count tally: each mask's
-    lower hull is summed by vertex chain, then validated as one ChainPolygon
-    per distinct chain."""
-    interior = triangle_interior_points(spec)
+    """The ChainPolygon -> count table of a mask -> count tally: each mask
+    is cut down to its column minima, the counts are summed per set of
+    minima, one lower hull is built per set and summed by vertex chain,
+    then validated as one ChainPolygon per distinct chain."""
+    # column x is a contiguous bit range, y increasing from its first bit
+    columns = []  # (x, first bit, ones over the column's height)
+    first = 0
+    for x, points in groupby(triangle_interior_points(spec), key=itemgetter(0)):
+        height = len(list(points))
+        columns.append((x, first, (1 << height) - 1))
+        first += height
+    minima: dict[int, int] = {}
+    for mask, c in tallies.items():
+        key = 0
+        for _, first, ones in columns:
+            seg = mask >> first & ones
+            key |= (seg & -seg) << first
+        minima[key] = minima.get(key, 0) + c
     origin, corner = (0, 0), (spec.i, spec.j)
     chains: dict[tuple, int] = {}
-    for mask, c in tallies.items():
-        chain = lower_hull([origin, *[pt for bit, pt in enumerate(interior) if mask >> bit & 1], corner])
+    for key, c in minima.items():
+        lowest = [(x, seg.bit_length()) for x, first, ones in columns if (seg := key >> first & ones)]
+        chain = lower_hull([origin, *lowest, corner])
         chains[chain] = chains.get(chain, 0) + c
     return {ChainPolygon(chain, spec): c for chain, c in chains.items()}
 

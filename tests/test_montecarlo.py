@@ -1,6 +1,7 @@
 """Process simulation: exact probabilities, determinism, closure, stream 2."""
 
 import hashlib
+import random
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -171,8 +172,61 @@ def test_simulate_builds_one_polygon_per_distinct_hull(monkeypatch):
     monkeypatch.setattr(ChainPolygon, "__post_init__", counting)
     table = simulate(cfg)
     masks = _count_masks(cfg.seed, 0, cfg.trials, 1, 3, cfg.spec.interior_count)
-    assert len(built) <= len(table.counts) < len(masks)
+    assert len(built) == len(table.counts) < len(masks)
     assert table.total == cfg.trials
+
+
+def column_minima(mask, interior):
+    """The lowest chosen point of each column, as a set."""
+    lowest = {}
+    for bit, (x, y) in enumerate(interior):
+        if mask >> bit & 1:
+            lowest[x] = min(y, lowest.get(x, y))
+    return frozenset(lowest.items())
+
+
+def test_simulate_builds_one_lower_hull_per_set_of_column_minima(monkeypatch):
+    cfg = SimulationConfig(TriangleSpec(5, 7), Fraction(1, 3), 2000, 7)
+    calls = []
+    lower_hull = montecarlo.lower_hull
+
+    def counting(points):
+        calls.append(points)
+        return lower_hull(points)
+
+    monkeypatch.setattr(montecarlo, "lower_hull", counting)
+    table = simulate(cfg)
+    masks = _count_masks(cfg.seed, 0, cfg.trials, 1, 3, cfg.spec.interior_count)
+    interior = triangle_interior_points(cfg.spec)
+    minima = {column_minima(mask, interior) for mask in masks}
+    assert len(calls) == len(minima) < len(masks)
+    assert table.total == cfg.trials
+
+
+@pytest.mark.parametrize("i, j", [(2, 11), (3, 10), (4, 9), (9, 4), (7, 12)])
+def test_tall_column_masks_are_tallied_as_their_validated_hull(i, j):
+    spec = TriangleSpec(i, j)
+    interior = triangle_interior_points(spec)
+    rng = random.Random(f"tall {i} {j}")
+    for _ in range(300):
+        mask = rng.getrandbits(len(interior)) & rng.getrandbits(len(interior))
+        chosen = [pt for bit, pt in enumerate(interior) if mask >> bit & 1]
+        assert _hull_counts({mask: 5}, spec) == {convex_hull_chain(chosen, spec): 5}
+
+
+def test_masks_that_differ_above_their_column_minima_share_one_row():
+    # column 1 of (2,11) holds (1,1)..(1,5); the lowest chosen point decides
+    spec = TriangleSpec(2, 11)
+    interior = triangle_interior_points(spec)
+    bits = {pt: 1 << n for n, pt in enumerate(interior)}
+    low = bits[(1, 2)]
+    tally = {low: 1, low | bits[(1, 3)]: 2, low | bits[(1, 5)]: 4,
+             low | bits[(1, 3)] | bits[(1, 4)] | bits[(1, 5)]: 8, bits[(1, 4)]: 16, 0: 32}
+    assert _hull_counts(tally, spec) == {
+        chain(spec, (1, 2)): 15,
+        chain(spec, (1, 4)): 16,
+        hypotenuse(spec): 32,
+    }
 
 
 def test_different_seeds_differ():
