@@ -19,50 +19,31 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .enumeration import enumerate_polygons
-from .geometry import ChainPolygon, TriangleSpec, polygon_stats, triangle_interior_points
+from .geometry import ChainPolygon, PolygonStats, TriangleSpec, polygon_stats, triangle_interior_points
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all
 
 # The record schema: each JSON key and CSV column, in CSV column order, and
-# the PolygonRecord attribute it holds. The vertices are the last CSV column
+# the PolygonStats attribute it holds. The vertices are the last CSV column
 # and the first JSON key.
-FIELDS = {"k": "k", "vCount": "v_count", "iP": "i_p", "bP": "b_p",
+FIELDS = {"k": "k", "vCount": "v_count", "iP": "interior", "bP": "boundary",
           "area2": "area2", "u": "u", "exponentDoubled": "exponent_doubled"}
 CSV_COLUMNS = [*FIELDS, "vertices"]
-_field_values = attrgetter(*FIELDS.values())  # record -> its FIELDS values, in order
+_field_values = attrgetter(*FIELDS.values())  # PolygonStats -> its FIELDS values, in order
 
 
 @dataclass(frozen=True)
 class PolygonRecord:
-    """Serialized polygon plus its statistics; every field is recomputable."""
+    """A serialized polygon: its vertices and the polygon_stats of the chain
+    they form, so every statistic is recomputable."""
 
     vertices: tuple
-    k: int
-    v_count: int
-    i_p: int
-    b_p: int
-    area2: int
-    u: int
-    exponent_doubled: int
-
-    @classmethod
-    def from_polygon(cls, p: ChainPolygon) -> "PolygonRecord":
-        s = polygon_stats(p)
-        return cls(
-            vertices=p.vertices,
-            k=s.k,
-            v_count=s.v_count,
-            i_p=s.interior,
-            b_p=s.boundary,
-            area2=s.area2,
-            u=s.u,
-            exponent_doubled=2 * (s.interior + s.boundary - (s.k - 1)),
-        )
+    stats: PolygonStats
 
     def to_json_obj(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices],
-                **dict(zip(FIELDS, _field_values(self)))}
+                **dict(zip(FIELDS, _field_values(self.stats)))}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolygonRecord":
@@ -71,15 +52,14 @@ class PolygonRecord:
         extra = obj.keys() - {*FIELDS, "vertices"}
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)}")
-        return cls(
-            vertices=tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"]),
-            **{attr: _json_int(obj[key]) for key, attr in FIELDS.items()},
-        )
+        vertices = tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"])
+        return cls(vertices, PolygonStats(**{attr: _json_int(obj[key])
+                                             for key, attr in FIELDS.items()}))
 
     def validate(self) -> None:
         """Recompute everything from the vertices; mismatch means corruption."""
         spec = TriangleSpec(*self.vertices[-1])
-        if PolygonRecord.from_polygon(ChainPolygon(self.vertices, spec)) != self:
+        if polygon_stats(ChainPolygon(self.vertices, spec)) != self.stats:
             raise ValueError(f"record fields disagree with recomputation: {self}")
 
 
@@ -91,7 +71,7 @@ def _json_int(value) -> int:
 
 
 def records_for(spec: TriangleSpec) -> list:
-    return [PolygonRecord.from_polygon(p) for p in enumerate_polygons(spec)]
+    return [PolygonRecord(p.vertices, polygon_stats(p)) for p in enumerate_polygons(spec)]
 
 
 def records_to_json(records) -> str:
@@ -126,7 +106,7 @@ def records_to_csv(records) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow([
-            *_field_values(r),
+            *_field_values(r.stats),
             json.dumps([list(v) for v in r.vertices], separators=(",", ":")),
         ])
     return out.getvalue()

@@ -29,10 +29,13 @@ def _require_point(p) -> None:
 def check_steps(steps: Steps) -> None:
     """Raise ValueError unless steps is a chain: at least one step, each
     (x, y) with x >= 1 and y >= 1, and slopes y/x strictly increasing, i.e.
-    x1*y2 - x2*y1 > 0 for consecutive steps."""
+    x1*y2 - x2*y1 > 0 for consecutive steps. A coordinate that is not an
+    int (bool included) is a TypeError, as it is for a lattice point."""
     if not steps:
         raise ValueError("a chain needs at least one step")
     for x, y in steps:
+        if type(x) is not int or type(y) is not int:
+            raise TypeError(f"step coordinates must be ints, got ({x!r},{y!r})")
         if x < 1 or y < 1:
             raise ValueError(f"step ({x},{y}) must be positive in both coordinates")
     for (x1, y1), (x2, y2) in zip(steps, steps[1:]):
@@ -71,6 +74,8 @@ class TriangleSpec:
     interior_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.i) is not int or type(self.j) is not int:
+            raise TypeError(f"triangle legs must be ints, got i={self.i!r}, j={self.j!r}")
         if self.i < 1 or self.j < 1:
             raise ValueError(f"triangle legs must be >= 1, got i={self.i}, j={self.j}")
         g = gcd(self.i, self.j)
@@ -155,7 +160,9 @@ def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
 
 @dataclass(frozen=True)
 class PolygonStats:
-    """The integer invariants of one chain polygon."""
+    """The integer invariants of one chain polygon: its k, v(P), i(P), b(P),
+    doubled area and u(P), and the doubled q-exponent of its polygon-form
+    term, 2 * (i(P) + b(P) - (k - 1))."""
 
     k: int
     v_count: int
@@ -163,6 +170,7 @@ class PolygonStats:
     boundary: int
     area2: int
     u: int
+    exponent_doubled: int
 
 
 def polygon_stats(poly: ChainPolygon) -> PolygonStats:
@@ -174,24 +182,26 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     theorem then gives i(P), and TriangleSpec.interior_count gives the
     triangle's I_T. The triangle interior points outside P are those not
     inside P and not among the G - 1 chain points strictly between (0,0)
-    and (i,j). The 2-gon is the hypotenuse itself: no area, no interior,
-    u = I_T.
+    and (i,j). The exponent is 2 * (i(P) + b(P) - (k - 1)). The 2-gon is
+    the hypotenuse itself: no area, no interior, u = I_T, exponent 2g + 2.
     """
     spec = poly.spec
     if poly.is_segment:
         return PolygonStats(k=1, v_count=2, interior=0, boundary=spec.g + 1, area2=0,
-                            u=spec.interior_count)
+                            u=spec.interior_count, exponent_doubled=2 * spec.g + 2)
+    k = poly.k
     area2 = pair_cross_sum(poly.steps)
     edge_gcds = pair_gcd_sum(poly.steps)
     boundary = edge_gcds + spec.g
     interior = (area2 - boundary + 2) // 2
     return PolygonStats(
-        k=poly.k,
-        v_count=poly.v_count,
+        k=k,
+        v_count=k + 1,
         interior=interior,
         boundary=boundary,
         area2=area2,
         u=spec.interior_count - interior - (edge_gcds - 1),
+        exponent_doubled=2 * (interior + boundary - (k - 1)),
     )
 
 

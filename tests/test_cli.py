@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, schemas, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -110,9 +111,8 @@ def test_enumerate_rejects_unknown_format(capsys):
 def test_record_validation_catches_tampering():
     record = records_for(TriangleSpec(2, 3))[1]
     broken = PolygonRecord(
-        record.vertices, record.k, record.v_count,
-        record.i_p + 1, record.b_p, record.area2, record.u,
-        record.exponent_doubled,
+        record.vertices,
+        dataclasses.replace(record.stats, interior=record.stats.interior + 1),
     )
     with pytest.raises(ValueError):
         broken.validate()

@@ -247,6 +247,7 @@ def test_doubled_exponent_matches_polygon_counts(n):
             stats = polygon_stats(composition_to_polygon(d_to_c(d), spec))
             via_counts = 2 * (stats.interior + stats.boundary - (d.k - 1)) - 2 - g
             assert via_steps == via_counts
+            assert stats.exponent_doubled == via_steps + 2 + g
 
 
 def test_random_hull_compositions_are_valid(seed=20260819):
@@ -274,6 +275,13 @@ def test_composition_validation_rejects_bad_steps():
         CompositionC(((1, 0),))
     with pytest.raises(ValueError):
         CompositionC(((2, 2), (1, 1)))  # equal slopes
+    # non-int coordinates, bool included, are refused as ChainPolygon refuses them
+    with pytest.raises(TypeError):
+        CompositionC(((1.5, 1),))
+    with pytest.raises(TypeError):
+        CompositionD(((1.5, 2.5),))
+    with pytest.raises(TypeError):
+        CompositionC(((True, True), (1, 2)))
 
 
 def test_enumerate_argument_validation():

@@ -268,6 +268,12 @@ def test_bool_coordinates_are_refused(point):
         ChainPolygon(((False, False), (True, True)), TriangleSpec(1, 1))
 
 
+@pytest.mark.parametrize("legs", [(True, 3), (2.0, 3)], ids=["bool-leg", "float-leg"])
+def test_non_int_triangle_legs_are_refused(legs):
+    with pytest.raises(TypeError, match=r"i=.*, j=3"):
+        TriangleSpec(*legs)
+
+
 @pytest.mark.parametrize("point", [(2.0, 2), [2, 2]], ids=["float-coordinate", "list-point"])
 def test_convex_hull_chain_rejects_non_int_points_that_are_not_extreme(point):
     spec = TriangleSpec(3, 4)

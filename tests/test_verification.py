@@ -191,6 +191,19 @@ def test_violation_is_reported_not_raised(monkeypatch):
     assert dict(report.checks)["unit_sum"] is True
 
 
+def test_form_consistency_catches_a_wrong_d_walk(monkeypatch):
+    # three chains for (2,5), two of them invalid, in place of the true two;
+    # their terms fold to the true lhs, since the fold has a kernel, so only
+    # the key histograms tell them apart
+    import latticechains.verification as verification
+
+    wrong = (((2, 5),), ((1, 1), (1, 1), (1, 1)), ((1, 3), (1, 2)))
+    monkeypatch.setattr(verification, "chains_D", lambda i, n: iter(wrong))
+    report = verification.verify_all(2, 5)
+    assert report.failed_check == "form_consistency"
+    assert [name for name, ok in report.checks if not ok] == ["form_consistency"]
+
+
 @pytest.mark.parametrize("i", range(1, 13))
 def test_signature_matches_pick_route(i):
     # the key route against polygon_stats over validated chain polygons
