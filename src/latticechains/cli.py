@@ -363,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--max-size", type=positive_int, required=True)
     p_explore.add_argument("--max-m", type=positive_int, default=8)
     p_explore.add_argument("--max-n", type=positive_int, default=8)
-    p_explore.add_argument("--node-cap", type=positive_int, default=200_000)
+    p_explore.add_argument("--node-cap", type=positive_int, default=200_000,
+                           help="most (a, b) pairs the search may place; "
+                                "hitting it exits 2 (default 200000)")
     p_explore.add_argument("--collapse-sets", action="store_true",
                            help="compare signatures with multiplicities dropped")
     p_explore.set_defaults(func=cmd_explore)

@@ -8,6 +8,12 @@ against that equation, searches exhaustively for solutions within bounds,
 and looks for triangles realizing a given multiset. The search is bounded
 tooling only: it reports matches and non-matches, nothing more.
 
+The search rests on one fact: the coefficient of x^t in the sum is
+    #(a = t) + sum over pairs with a < t of (-1)^(t-a) * C(b, t-a),
+so the pairs with smaller a fix how many pairs have a = t. It peels the
+sum level by level: level 0 is the pair (0,1), and level t only chooses
+that many values of b.
+
 Unlike the composition steps, exponents here may be 0 (the pair (0,1) is
 required in every searched multiset, and it has a = 0).
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
+from operator import add
 
 from .geometry import TriangleSpec
 from .polyalgebra import UnitPoly
@@ -25,7 +33,7 @@ Pair = tuple[int, int]
 
 
 class SearchCapExceeded(Exception):
-    """The backtracking search hit its node cap before finishing."""
+    """The search placed more pairs than its node cap before finishing."""
 
 
 @dataclass(frozen=True)
@@ -70,53 +78,95 @@ def is_unit_multiset(sig: Signature) -> bool:
 def search_unit_multisets(max_a: int, max_b: int, max_size: int,
                           node_cap: int = 200_000) -> list:
     """Every multiset of pairs (a <= max_a, b <= max_b, size <= max_size)
-    that contains (0,1) and sums to 1. Exhaustive within bounds; raises
-    SearchCapExceeded rather than returning a truncated list.
+    that contains (0,1) and sums to 1, sorted by (size, pairs). Exhaustive
+    within bounds; raises SearchCapExceeded rather than returning a
+    truncated list once more than node_cap pairs have been placed.
 
-    Pruning facts (terms are strictly positive on 0 < x < 1):
-    - the partial sum at x = 1/2 can never exceed 1; it is kept exactly as
-      a numerator over 2**(max_a + max_b), where a term adds 2**-(a + b);
-    - at x = 0 only a = 0 terms survive, so exactly one pair has a = 0;
-    - at x = 1 only b = 0 terms survive, so exactly one pair has b = 0.
+    The search peels the coefficients of x^t one level t at a time. The
+    coefficient of x^t in the sum is
+        #(a = t) + sum over pairs with a < t of (-1)^(t-a) * C(b, t-a),
+    so the pairs with smaller a fix need_t, the number of pairs with a = t
+    that makes that coefficient 1 at t = 0 and 0 above. Level 0 is
+    exactly (0,1); level t chooses only a nondecreasing run of need_t
+    values of b, and a branch dies when need_t < 0, when a level above
+    max_a still needs pairs, or when it would pass max_size. At x = 1
+    only b = 0 terms survive, so at most one pair has b = 0. A pair (t, b)
+    lowers the coefficient of x^(t+1) by b, so a level stops trying larger
+    b once the pairs it holds force more pairs at level t+1 than max_a or
+    max_size allows. Levels whose coefficient is already 0 need no pairs
+    and are skipped, so a huge max_a costs nothing. Each completed
+    multiset is confirmed by an exact fold.
     """
     if max_a < 0 or max_b < 0:
         raise ValueError("exponent bounds must be >= 0")
     if max_size < 1 or node_cap < 1:
         raise ValueError("max_size and node_cap must be >= 1")
+    if max_b == 0:
+        return []
 
-    candidates = [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)]
-    whole = 1 << (max_a + max_b)
-    one = UnitPoly.one()
+    rows = {}
     found = []
     visited = 0
 
-    def extend(start: int, chosen: list, val_half: int, a0: int, b0: int):
+    # An entry (pairs, a, left, low, has_b0, coeffs) is a branch whose
+    # level a still needs `left` pairs, each with b >= low; coeffs[j] is the
+    # coefficient of x^(a+j) in (sum - 1) over `pairs`, and len(coeffs) >= 2.
+
+    def next_level(pairs: tuple, a: int, has_b0: bool, coeffs: tuple):
+        """The entry for the first level above a whose coefficient is not 0,
+        or None; a multiset with no such level is complete."""
+        for i, c in enumerate(coeffs[1:], start=1):
+            if c:
+                break
+        else:
+            sig = Signature(pairs)
+            if is_unit_multiset(sig):
+                found.append(sig)
+            return None
+        if c < 0 and a + i <= max_a and len(pairs) - c <= max_size:
+            return pairs, a + i, -c, 0, has_b0, coeffs[i:] + (0,)
+        return None
+
+    def placements(pairs: tuple, a: int, left: int, low: int, has_b0: bool, coeffs: tuple):
+        """The entries one pair (a, b) further on, b in increasing order."""
         nonlocal visited
-        for idx in range(start, len(candidates)):
+        for b in range(1 if has_b0 and low == 0 else low, max_b + 1):
+            # this pair and each later one at level a lower the x^(a+1)
+            # coefficient by at least b; every unit it ends below 0 is one
+            # more pair at level a+1
+            short = b * left - coeffs[1]
+            if short > 0 and (a == max_a or len(pairs) + left + short > max_size):
+                return
             visited += 1
             if visited > node_cap:
                 raise SearchCapExceeded(
-                    f"visited more than {node_cap} nodes within bounds "
+                    f"placed more than {node_cap} pairs within bounds "
                     f"({max_a},{max_b},{max_size})"
                 )
-            a, b = candidates[idx]
-            new_a0 = a0 + (a == 0)
-            new_b0 = b0 + (b == 0)
-            if new_a0 > 1 or new_b0 > 1:
-                continue
-            new_val = val_half + (whole >> (a + b))
-            if new_val > whole:
-                continue
-            chosen.append((a, b))
-            if new_val == whole:
-                sig = Signature(tuple(chosen))
-                if (0, 1) in sig.pairs and unit_sum_of(sig) == one:
-                    found.append(sig)
-            elif len(chosen) < max_size:
-                extend(idx, chosen, new_val, new_a0, new_b0)
-            chosen.pop()
+            if b not in rows:
+                # rows[b][j] is the coefficient of x^(a+j) in x^a * (1-x)^b
+                rows[b] = tuple((-1) ** j * comb(b, j) for j in range(b + 1))
+            row = rows[b]
+            pad = (0,) * (len(row) - len(coeffs))
+            after = tuple(map(add, coeffs + pad, row)) + coeffs[len(row):]
+            placed = pairs + ((a, b),)
+            if left > 1:
+                yield placed, a, left - 1, b, has_b0 or b == 0, after
+            else:
+                entry = next_level(placed, a, has_b0 or b == 0, after)
+                if entry:
+                    yield entry
 
-    extend(0, [], 0, 0, 0)
+    # the walk keeps its own stack of placement generators, so its depth is
+    # not bounded by the interpreter's recursion limit
+    root = next_level(((0, 1),), 0, False, (0, -1))
+    stack = [placements(*root)] if root else []
+    while stack:
+        entry = next(stack[-1], None)
+        if entry is None:
+            stack.pop()
+        else:
+            stack.append(placements(*entry))
     return sorted(found, key=lambda s: (len(s), s.pairs))
 
 

@@ -259,6 +259,13 @@ def test_explore_empty_result(capsys):
     assert "found 0 unit multiset(s)" in out
 
 
+def test_explore_huge_max_a_finishes(capsys):
+    code, out, _ = run(capsys, "explore", "--max-a", "1000000", "--max-b", "1",
+                       "--max-size", "2", "--max-m", "2", "--max-n", "2")
+    assert code == 0
+    assert "found 1 unit multiset(s)\n{(1,0),(0,1)}\n" in out
+
+
 def test_explore_cap_reports_and_exits_two(capsys):
     code, _, err = run(capsys, "explore", "--max-a", "3", "--max-b", "3",
                        "--max-size", "5", "--node-cap", "10")

@@ -1,6 +1,8 @@
-"""Signature search against an unpruned brute-force reference."""
+"""Signature search against an unpruned brute-force reference and the two
+search oracles in search_oracles."""
 
 import re
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -15,6 +17,7 @@ from latticechains.explorer import (
     unit_sum_of,
 )
 from latticechains.polyalgebra import UnitPoly
+from search_oracles import backtracking_search, mirror_peel_search
 
 
 def brute_force_search(max_a, max_b, max_size):
@@ -70,6 +73,8 @@ def test_every_triangle_signature_is_a_unit_multiset(m, n):
 def test_search_smallest_bounds():
     assert search_unit_multisets(1, 1, 2) == [Signature(((1, 0), (0, 1)))]
     assert search_unit_multisets(0, 1, 1) == []
+    assert search_unit_multisets(1, 0, 2) == []
+    assert search_unit_multisets(3, 0, 4) == []
 
 
 def test_search_finds_triangle_signature_of_3_4():
@@ -83,6 +88,40 @@ def test_search_matches_brute_force(bounds):
     assert set(got) == brute_force_search(*bounds)
     assert len(got) == len(set(got))
     assert got == sorted(got, key=lambda s: (len(s), s.pairs))
+
+
+ORACLE_BOUNDS = [(1, 0, 2), (1, 1, 2), (0, 1, 1), (2, 2, 3), (3, 1, 4), (2, 3, 4),
+                 (3, 2, 5), (4, 3, 4), (4, 3, 6), (5, 4, 6), (5, 3, 7), (4, 4, 7),
+                 (0, 3, 3), (6, 2, 8), (3, 6, 8)]
+
+
+@pytest.mark.parametrize("bounds", ORACLE_BOUNDS, ids=lambda b: "-".join(map(str, b)))
+def test_search_matches_both_oracles(bounds):
+    got = search_unit_multisets(*bounds)
+    assert got == backtracking_search(*bounds)
+    assert got == mirror_peel_search(*bounds)
+
+
+def test_search_reaches_5_4_8_under_the_default_cap():
+    got = search_unit_multisets(5, 4, 8)
+    assert len(got) == 154
+    assert got == mirror_peel_search(5, 4, 8)
+    # the single b = 0 rule and the lookahead keep it to 680 pairs placed;
+    # without the rule it places 1,177
+    assert search_unit_multisets(5, 4, 8, node_cap=1_000) == got
+
+
+def test_huge_max_a_costs_nothing():
+    assert search_unit_multisets(10**12, 2, 3) == search_unit_multisets(3, 2, 3)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # with b <= 1 the only unit multisets are the telescoping runs
+    # (0,1), (1,1), ..., (k,1), (k+1,0), one per size
+    size = sys.getrecursionlimit() + 100
+    got = search_unit_multisets(size, 1, size)
+    assert len(got) == size - 1
+    assert got[-1] == Signature(tuple((t, 1) for t in range(size - 1)) + ((size - 1, 0),))
 
 
 def test_search_results_all_verify():
