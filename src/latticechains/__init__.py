@@ -16,15 +16,9 @@ from .geometry import (
     triangle_interior_points,
 )
 from .enumeration import (
-    CompositionC,
     CompositionD,
-    c_to_d,
-    composition_to_polygon,
-    d_to_c,
-    enumerate_C,
     enumerate_D,
     enumerate_polygons,
-    polygon_to_composition,
 )
 from .polyalgebra import (
     QHalfPoly,
@@ -54,7 +48,6 @@ from .explorer import (
 
 __all__ = [
     "ChainPolygon",
-    "CompositionC",
     "CompositionD",
     "FrequencyTable",
     "IdentityReport",
@@ -65,12 +58,8 @@ __all__ = [
     "SimulationConfig",
     "TriangleSpec",
     "UnitPoly",
-    "c_to_d",
     "compare",
-    "composition_to_polygon",
     "convex_hull_chain",
-    "d_to_c",
-    "enumerate_C",
     "enumerate_D",
     "enumerate_polygons",
     "exact_prob",
@@ -80,7 +69,6 @@ __all__ = [
     "lhs_main_via_polygons",
     "match_signature",
     "polygon_stats",
-    "polygon_to_composition",
     "q_monomial",
     "rhs_main",
     "search_unit_multisets",

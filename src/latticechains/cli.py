@@ -229,6 +229,10 @@ def cmd_explore(args) -> int:
         print(f"search cap hit: {exc}; raise --node-cap to finish the search",
               file=sys.stderr)
         return 2
+    except MemoryError:
+        print("search ran out of memory; lower --max-a, --max-b or --max-size",
+              file=sys.stderr)
+        return 2
     if args.collapse_sets:
         found = list(dict.fromkeys(sig.as_set() for sig in found))
     print(f"search bounds: a <= {args.max_a}, b <= {args.max_b}, size <= {args.max_size}")

@@ -6,19 +6,20 @@ them is a checkable fact, not a construction):
 * family D: steps (a_l, b_l) with sum(a) = i, sum(b) = n and
   1 > a_1/b_1 > ... > a_k/b_k > 0;
 * family C: steps (x_l, y_l) with sum(x) = i, sum(y) = j and
-  y_1/x_1 < ... < y_k/x_k.
+  y_1/x_1 < ... < y_k/x_k, the steps of the triangle's chain polygons.
+
+The shear (a, b) -> (a, b - a) maps D onto C; the tests state it.
 
 Each family has one depth-first walk, chains_D or chains_C, which yields
 bare step tuples, unvalidated, in lexicographic order. The walk visits every
 chain prefix once and closes it with the remainder as its last step; the
 remainder's first coordinate exceeds that of any step that could extend the
 prefix, so the closed chain comes after every extension. The proof path in
-verification reads these walks directly. enumerate_D, enumerate_C and
-enumerate_polygons stable-sort the same walk by step count k, so their
-output is grouped by increasing k and lexicographic within a group, and
-validate each chain once: the compositions through geometry.check_steps,
-the one chain rule (a D element through its shear d_to_c), and a polygon
-through ChainPolygon.
+verification reads these walks directly. enumerate_D and enumerate_polygons
+stable-sort the same walk by step count k, so their output is grouped by
+increasing k and lexicographic within a group, and validate each chain once:
+a D element through geometry.check_steps on its shear, a polygon through
+ChainPolygon.
 
 Slopes are compared by integer cross products throughout. The walk takes a
 step only if it continues the slope order and the remainder can still
@@ -51,21 +52,6 @@ class CompositionD:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
         check_steps(tuple([(a, b - a) for a, b in self.steps]))
-
-    @property
-    def k(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
-class CompositionC:
-    """Steps (x_l, y_l), each >= 1, with slopes y/x strictly increasing."""
-
-    steps: Steps
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        check_steps(self.steps)
 
     @property
     def k(self) -> int:
@@ -116,43 +102,12 @@ def enumerate_D(i: int, n: int) -> Iterator[CompositionD]:
         yield CompositionD(steps)
 
 
-def enumerate_C(i: int, j: int) -> Iterator[CompositionC]:
-    """Every element of the C family for (i, j), each exactly once."""
-    for steps in sorted(chains_C(i, j), key=len):
-        yield CompositionC(steps)
-
-
-def d_to_c(d: CompositionD) -> CompositionC:
-    """(a, b) -> (a, b - a); slope order flips from decreasing to increasing."""
-    return CompositionC(tuple((a, b - a) for a, b in d.steps))
-
-
-def c_to_d(c: CompositionC) -> CompositionD:
-    """(x, y) -> (x, x + y); inverse of d_to_c."""
-    return CompositionD(tuple((x, x + y) for x, y in c.steps))
-
-
-def _steps_to_polygon(steps: Steps, spec: TriangleSpec) -> ChainPolygon:
-    verts = [(0, 0)]
-    for dx, dy in steps:
-        x, y = verts[-1]
-        verts.append((x + dx, y + dy))
-    return ChainPolygon(tuple(verts), spec)
-
-
-def composition_to_polygon(c: CompositionC, spec: TriangleSpec) -> ChainPolygon:
-    """Chain whose vertices are the partial sums of the steps; ChainPolygon
-    refuses it unless the steps sum to (spec.i, spec.j)."""
-    return _steps_to_polygon(c.steps, spec)
-
-
-def polygon_to_composition(p: ChainPolygon) -> CompositionC:
-    """Consecutive vertex differences; inverse of composition_to_polygon."""
-    return CompositionC(p.steps)
-
-
 def enumerate_polygons(spec: TriangleSpec) -> Iterator[ChainPolygon]:
     """The full polygon family of the triangle (the 2-gon comes first),
     each chain validated once, by ChainPolygon."""
     for steps in sorted(chains_C(spec.i, spec.j), key=len):
-        yield _steps_to_polygon(steps, spec)
+        verts = [(0, 0)]
+        for dx, dy in steps:
+            x, y = verts[-1]
+            verts.append((x + dx, y + dy))
+        yield ChainPolygon(tuple(verts), spec)

@@ -210,7 +210,8 @@ def lower_hull(points) -> tuple[Point, ...]:
     the chain of its vertices from the first point to the last (Andrew's
     monotone chain). A point on or above the segment between its hull
     neighbours is dropped, so collinear middle points are too. The points
-    are not checked: convex_hull_chain is the validating entry point."""
+    are not checked; a caller validates the hull by building a ChainPolygon
+    of it, as convex_hull_chain and montecarlo.simulate do."""
     hull: list[Point] = []
     for point in points:
         x, y = point

@@ -1,4 +1,5 @@
-"""Exact univariate polynomial arithmetic with big-integer coefficients.
+"""Exact univariate polynomials with big-integer coefficients: the folds
+that build every identity form, and their rendering.
 
 Two families cover every identity in this project:
 
@@ -20,7 +21,6 @@ The unit sums use y = x, step = 1; the q-forms use y = v, step = -2, since
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -42,10 +42,6 @@ class _Poly:
         self._coeffs = items
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 
@@ -64,22 +60,14 @@ class _Poly:
                 coeffs[e] = coeffs.get(e, 0) + (-mult if t & 1 else mult) * comb(power, t)
         return cls(coeffs)
 
-    def coefficient(self, exponent) -> int:
-        return self._coeffs.get(exponent, 0)
-
     def items(self):
         """(exponent, coefficient) pairs in decreasing exponent order."""
         return sorted(self._coeffs.items(), reverse=True)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __eq__(self, other):
         return type(self) is type(other) and self._coeffs == other._coeffs
 
-    def __neg__(self):
-        return type(self)({e: -c for e, c in self._coeffs.items()})
-
+    # no fold adds or multiplies; these stay while perfbench wraps them (ROADMAP item 4)
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -87,11 +75,6 @@ class _Poly:
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
         return type(self)(out)
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -102,25 +85,6 @@ class _Poly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return type(self)(out)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial power must be a nonnegative int, got {exponent!r}")
-        result = type(self).one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def eval_rational(self, num: int, den: int) -> Fraction:
-        """Exact value at num/den. Raises ZeroDivisionError for den == 0,
-        or for num == 0 when negative exponents are present."""
-        x = Fraction(num, den)
-        return sum((c * x**e for e, c in self._coeffs.items()), Fraction(0))
 
     def render(self) -> str:
         if not self._coeffs:
@@ -167,10 +131,6 @@ class QHalfPoly(_Poly):
             return "q" if half == 1 else f"q^{half}"
         return f"q^({e}/2)"
 
-    @classmethod
-    def q_minus_one(cls):
-        return cls({2: 1, 0: -1})
-
 
 def q_monomial(doubled_exponent: int) -> QHalfPoly:
     """q^(doubled_exponent/2), i.e. the single term v^doubled_exponent."""
@@ -189,15 +149,8 @@ class UnitPoly(_Poly):
             return ""
         return "x" if e == 1 else f"x^{e}"
 
-    @classmethod
-    def x(cls):
-        return cls({1: 1})
 
-    @classmethod
-    def one_minus_x(cls):
-        return cls({0: 1, 1: -1})
-
-
+# no fold calls this; it stays while perfbench wraps it (ROADMAP item 4)
 def term_x_pow_times_one_minus_x_pow(a: int, b: int) -> UnitPoly:
     """Expansion of x^a * (1-x)^b with exact signed binomial coefficients."""
     if a < 0 or b < 0:

@@ -60,7 +60,6 @@ class IdentityReport:
     spec: TriangleSpec
     lhs: QHalfPoly
     rhs: QHalfPoly
-    equal: bool
     checks: tuple  # (name, passed) in CHECK_NAMES order
     failed_check: Optional[str]
 
@@ -158,5 +157,4 @@ def verify_all(i: int, n: int) -> IdentityReport:
         ("form_consistency", d_keys == c_keys),
     )
     failed = next((name for name, ok in results if not ok), None)
-    return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, equal=(lhs == rhs),
-                          checks=results, failed_check=failed)
+    return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=results, failed_check=failed)

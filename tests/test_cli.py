@@ -273,6 +273,22 @@ def test_explore_cap_reports_and_exits_two(capsys):
     assert "search cap hit" in err
 
 
+def test_explore_out_of_memory_exits_two(capsys, monkeypatch):
+    # a search too large for the memory it may use is refused, not a traceback
+    # with exit 1, which means a failed mathematical check
+    import latticechains.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "search_unit_multisets", exhausted)
+    code, out, err = run(capsys, "explore", "--max-a", "3", "--max-b", "3",
+                         "--max-size", "5")
+    assert code == 2
+    assert out == ""
+    assert "search ran out of memory" in err
+
+
 def test_explore_collapse_sets_flag(capsys):
     code, out, _ = run(capsys, "explore", "--max-a", "3", "--max-b", "1",
                        "--max-size", "4", "--max-m", "4", "--max-n", "4",

@@ -9,17 +9,11 @@ from math import gcd
 import pytest
 
 from latticechains.enumeration import (
-    CompositionC,
     CompositionD,
-    c_to_d,
     chains_C,
     chains_D,
-    composition_to_polygon,
-    d_to_c,
-    enumerate_C,
     enumerate_D,
     enumerate_polygons,
-    polygon_to_composition,
 )
 from latticechains.geometry import (
     ChainPolygon,
@@ -66,6 +60,21 @@ def oracle_C(i, j):
     return found
 
 
+def shear(steps):
+    """D steps to C steps: (a, b) -> (a, b - a)."""
+    return tuple((a, b - a) for a, b in steps)
+
+
+def unshear(steps):
+    """C steps to D steps: (x, y) -> (x, x + y), the inverse of shear."""
+    return tuple((x, x + y) for x, y in steps)
+
+
+def c_steps(i, j):
+    """The C family of (i, j), as enumerate_polygons lists it."""
+    return [p.steps for p in enumerate_polygons(TriangleSpec(i, j))]
+
+
 def test_frozen_D_examples():
     assert [d.steps for d in enumerate_D(1, 2)] == [((1, 2),)]
     assert [d.steps for d in enumerate_D(2, 4)] == [((2, 4),)]
@@ -79,9 +88,9 @@ def test_frozen_D_examples():
 
 
 def test_frozen_C_examples():
-    assert [c.steps for c in enumerate_C(1, 1)] == [((1, 1),)]
-    assert [c.steps for c in enumerate_C(2, 3)] == [((2, 3),), ((1, 1), (1, 2))]
-    assert [c.steps for c in enumerate_C(3, 4)] == [
+    assert c_steps(1, 1) == [((1, 1),)]
+    assert c_steps(2, 3) == [((2, 3),), ((1, 1), (1, 2))]
+    assert c_steps(3, 4) == [
         ((3, 4),),
         ((1, 1), (2, 3)),
         ((2, 1), (1, 3)),
@@ -101,7 +110,7 @@ def test_D_matches_oracle(n):
 @pytest.mark.parametrize("j", range(1, 8))
 def test_C_matches_oracle(j):
     for i in range(1, 8):
-        got = [c.steps for c in enumerate_C(i, j)]
+        got = c_steps(i, j)
         expected = oracle_C(i, j)
         assert sorted(got) == sorted(expected)
         assert len(set(got)) == len(got)
@@ -139,12 +148,12 @@ def test_C_sequence_is_the_oracle_in_k_then_lex_order(j, walk):
             for steps in seq:
                 check_steps(steps)
         else:
-            assert [c.steps for c in enumerate_C(i, j)] == sorted(oracle_C(i, j), key=k_then_lex)
+            assert c_steps(i, j) == sorted(oracle_C(i, j), key=k_then_lex)
 
 
 def test_output_grouped_by_k_then_lex():
     for i, j in [(4, 5), (5, 7), (6, 6)]:
-        seq = [c.steps for c in enumerate_C(i, j)]
+        seq = c_steps(i, j)
         ks = [len(s) for s in seq]
         assert ks == sorted(ks)
         for k in set(ks):
@@ -160,29 +169,29 @@ def test_output_grouped_by_k_then_lex():
 
 
 def test_frozen_bijection_examples():
-    assert d_to_c(CompositionD(((2, 5),))).steps == ((2, 3),)
-    assert d_to_c(CompositionD(((1, 2), (1, 3)))).steps == ((1, 1), (1, 2))
-    assert c_to_d(CompositionC(((1, 1), (2, 3)))).steps == ((1, 2), (2, 5))
+    assert shear(((2, 5),)) == ((2, 3),)
+    assert shear(((1, 2), (1, 3))) == ((1, 1), (1, 2))
+    assert unshear(((1, 1), (2, 3))) == ((1, 2), (2, 5))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_bijection_is_order_preserving_and_inverse(n):
     for i in range(1, n):
-        d_list = list(enumerate_D(i, n))
-        c_list = list(enumerate_C(i, n - i))
-        assert [d_to_c(d) for d in d_list] == c_list
-        assert [c_to_d(c) for c in c_list] == d_list
+        d_list = [d.steps for d in enumerate_D(i, n)]
+        c_list = c_steps(i, n - i)
+        assert [shear(d) for d in d_list] == c_list
+        assert [unshear(c) for c in c_list] == d_list
         for d in d_list:
-            assert c_to_d(d_to_c(d)) == d
+            assert unshear(shear(d)) == d
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_bijection_preserves_cross_and_gcd_sums(n):
     for i in range(1, n):
         for d in enumerate_D(i, n):
-            c = d_to_c(d)
-            assert pair_cross_sum(c.steps) == pair_cross_sum(d.steps)
-            assert pair_gcd_sum(c.steps) == pair_gcd_sum(d.steps)
+            c = shear(d.steps)
+            assert pair_cross_sum(c) == pair_cross_sum(d.steps)
+            assert pair_gcd_sum(c) == pair_gcd_sum(d.steps)
 
 
 def test_pair_sums_by_hand():
@@ -193,21 +202,23 @@ def test_pair_sums_by_hand():
     assert pair_gcd_sum(((2, 4),)) == 2
 
 
+def partial_sums(steps):
+    """The chain's vertices from (0, 0): the running sums of its steps."""
+    verts = [(0, 0)]
+    for dx, dy in steps:
+        verts.append((verts[-1][0] + dx, verts[-1][1] + dy))
+    return tuple(verts)
+
+
 def test_composition_polygon_round_trip():
+    # a polygon's steps are its vertex differences, and its vertices the
+    # partial sums of its steps; the 2-gon is the single step (i, j)
     spec = TriangleSpec(3, 4)
-    c = CompositionC(((1, 1), (2, 3)))
-    p = composition_to_polygon(c, spec)
-    assert p.vertices == ((0, 0), (1, 1), (3, 4))
-    assert polygon_to_composition(p) == c
-
-    two_gon = composition_to_polygon(CompositionC(((3, 4),)), spec)
-    assert two_gon.is_segment
-    assert polygon_to_composition(two_gon).steps == ((3, 4),)
-
-
-def test_composition_polygon_sum_mismatch():
-    with pytest.raises(ValueError):
-        composition_to_polygon(CompositionC(((2, 3),)), TriangleSpec(3, 4))
+    p = ChainPolygon(((0, 0), (1, 1), (3, 4)), spec)
+    assert p.steps == ((1, 1), (2, 3))
+    assert partial_sums(p.steps) == p.vertices
+    two_gon = next(enumerate_polygons(spec))
+    assert two_gon.is_segment and two_gon.steps == ((3, 4),)
 
 
 def test_enumerate_polygons_counts():
@@ -242,9 +253,10 @@ def test_doubled_exponent_matches_polygon_counts(n):
     for i in range(1, n):
         spec = TriangleSpec(i, n - i)
         g = gcd(i, n - i)
-        for d in enumerate_D(i, n):
+        for d, p in zip(enumerate_D(i, n), enumerate_polygons(spec), strict=True):
+            assert shear(d.steps) == p.steps
             via_steps = 2 * (1 - d.k) + pair_cross_sum(d.steps) + pair_gcd_sum(d.steps)
-            stats = polygon_stats(composition_to_polygon(d_to_c(d), spec))
+            stats = polygon_stats(p)
             via_counts = 2 * (stats.interior + stats.boundary - (d.k - 1)) - 2 - g
             assert via_steps == via_counts
             assert stats.exponent_doubled == via_steps + 2 + g
@@ -259,9 +271,9 @@ def test_random_hull_compositions_are_valid(seed=20260819):
         interior = triangle_interior_points(spec)
         chosen = [p for p in interior if rng.random() < 0.5]
         poly = convex_hull_chain(chosen, spec)
-        c = polygon_to_composition(poly)
-        assert sum(x for x, _ in c.steps) == i and sum(y for _, y in c.steps) == j
-        assert composition_to_polygon(c, spec) == poly
+        check_steps(poly.steps)
+        assert sum(x for x, _ in poly.steps) == i and sum(y for _, y in poly.steps) == j
+        assert partial_sums(poly.steps) == poly.vertices
 
 
 def test_composition_validation_rejects_bad_steps():
@@ -272,16 +284,16 @@ def test_composition_validation_rejects_bad_steps():
     with pytest.raises(ValueError):
         CompositionD(())
     with pytest.raises(ValueError):
-        CompositionC(((1, 0),))
+        check_steps(((1, 0),))
     with pytest.raises(ValueError):
-        CompositionC(((2, 2), (1, 1)))  # equal slopes
+        check_steps(((2, 2), (1, 1)))  # equal slopes
     # non-int coordinates, bool included, are refused as ChainPolygon refuses them
     with pytest.raises(TypeError):
-        CompositionC(((1.5, 1),))
+        check_steps(((1.5, 1),))
     with pytest.raises(TypeError):
         CompositionD(((1.5, 2.5),))
     with pytest.raises(TypeError):
-        CompositionC(((True, True), (1, 2)))
+        check_steps(((True, True), (1, 2)))
 
 
 def test_enumerate_argument_validation():
@@ -290,11 +302,12 @@ def test_enumerate_argument_validation():
     with pytest.raises(ValueError):
         list(enumerate_D(3, 3))
     with pytest.raises(ValueError):
-        list(enumerate_C(0, 2))
+        list(chains_C(0, 2))
 
 
 # ---------------------------------------------------------------------------
-# one chain rule: each constructor accepts exactly its rule written out longhand
+# one chain rule: check_steps and each constructor accept exactly their rule
+# written out longhand
 
 
 def longhand_rule_C(steps):
@@ -332,7 +345,7 @@ def test_compositions_accept_exactly_their_longhand_rules():
     steps = list(product(range(-1, 5), repeat=2))
     for k in range(4):
         for tup in product(steps, repeat=k):
-            assert accepts(CompositionC, tup) == longhand_rule_C(tup), tup
+            assert accepts(check_steps, tup) == longhand_rule_C(tup), tup
             assert accepts(CompositionD, tup) == longhand_rule_D(tup), tup
 
 

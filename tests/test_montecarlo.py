@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticechains.enumeration import composition_to_polygon, enumerate_polygons
-from latticechains.enumeration import CompositionC
+from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import (
     ChainPolygon,
     TriangleSpec,
@@ -281,7 +280,7 @@ def test_compare_z_scores_reasonable_at_moderate_scale():
 def test_compare_rejects_foreign_polygon():
     spec = TriangleSpec(3, 4)
     cfg = SimulationConfig(spec, Fraction(1, 2), 10, 0)
-    stray = composition_to_polygon(CompositionC(((2, 3),)), TriangleSpec(2, 3))
+    stray = hypotenuse(TriangleSpec(2, 3))
     with pytest.raises(ValueError):
         compare(FrequencyTable({stray: 10}), cfg)
 
