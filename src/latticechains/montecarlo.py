@@ -20,6 +20,11 @@ num/den, with no floats anywhere. A trial's outcome depends only on
 (seed, trial index), so splitting the trial range across processes
 changes nothing; merged tallies are identical to the serial run.
 
+The coin loop reads this stream unchanged, BATCH trials per list pass:
+one list of draws, each redrawn in place on rejection so the hash
+requests stay in trial order, then one decoding pass per chunk of digits
+and one Counter.update per batch.
+
 Hulls are tallied by their vertex chain. A chosen point directly above
 another chosen point lies strictly above the hull's lower boundary, so
 it is never a lower-hull vertex: only the column minima matter. Each
@@ -90,39 +95,53 @@ STREAM = 2  # version of the randomness contract above, printed with the results
 # this many entries; the stream itself does not depend on the chunk width.
 TABLE_SIZE = 4096
 
+BATCH = 4096  # trials per list pass; it bounds the lists' memory, not the stream
+
+
+class _Coin:
+    """A digit's fragment with no table, for den**2 > TABLE_SIZE: coin[d] is d < num."""
+
+    def __init__(self, num: int):
+        self.num = num
+
+    def __getitem__(self, digit: int) -> int:
+        return 1 if digit < self.num else 0  # an int, so a one-point mask is one too
+
 
 def mask_decoder(num: int, den: int, npoints: int):
-    """The map from r in range(den**npoints) to the chosen-point bitmask:
-    bit p is set iff base-den digit p of r (least significant first) is
-    < num. The digits are read `width` at a time, the most with
-    den**width <= TABLE_SIZE, through a table mapping each chunk value to
-    its mask fragment; with one digit per chunk the fragment is the coin."""
+    """The map from a list of r in range(den**npoints) to the list of their
+    chosen-point bitmasks: bit p is set iff base-den digit p of r (least
+    significant first) is < num. The digits are read `width` at a time, the
+    most with den**width <= TABLE_SIZE, one list pass per chunk, through a
+    table mapping each chunk value to its mask fragment; with one digit per
+    chunk the fragment is the coin and no table is built."""
     width = 1
     while den ** (width + 1) <= TABLE_SIZE:
         width += 1
     if width == 1:
-        fragment = num.__gt__  # no table: den may be far larger than TABLE_SIZE
+        table = _Coin(num)  # den may be far larger than TABLE_SIZE
     else:
         table = [0]
         for digit in range(width):
             table = [frag | (d < num) << digit for d in range(den) for frag in table]
-        fragment = table.__getitem__
     chunk = den ** width
-    shifts = range(0, npoints, width)
     full = (1 << npoints) - 1
+    # the last chunk's zero digits past npoints decode as chosen: drop them
+    trim = npoints % width or npoints == 0
 
-    def decode(r: int) -> int:
-        mask = 0
-        for shift in shifts:
-            r, value = divmod(r, chunk)
-            mask |= fragment(value) << shift
-        return mask & full  # drops the zero digits past npoints in the last chunk
+    def decode(residues: list) -> list:
+        masks = [table[r % chunk] for r in residues]
+        for shift in range(width, npoints, width):
+            residues = [r // chunk for r in residues]
+            masks = [m | table[r % chunk] << shift for m, r in zip(masks, residues)]
+        return [m & full for m in masks] if trim else masks
 
     return decode
 
 
 def _count_masks(seed: int, start: int, stop: int, num: int, den: int, npoints: int) -> Counter:
-    """Tally chosen-point bitmasks for trials start..stop-1 (stream 2)."""
+    """Tally chosen-point bitmasks for trials start..stop-1 (stream 2), a
+    batch of BATCH trials per list pass."""
     modulus = den ** npoints
     nblocks = -(-(modulus.bit_length() + 64) // 256)
     span = 1 << (256 * nblocks)
@@ -132,21 +151,23 @@ def _count_masks(seed: int, start: int, stop: int, num: int, den: int, npoints: 
     from_bytes = int.from_bytes
     sha = sha256
 
-    def masks():
-        for trial in range(start, stop):
-            block = 0
-            while True:
-                if nblocks == 1:  # the common case, up to ~120 points at den 3: no join
-                    r = from_bytes(sha(pack(seed, trial, block)).digest(), "big")
-                else:
-                    r = from_bytes(b"".join([sha(pack(seed, trial, b)).digest()
-                                             for b in range(block, block + nblocks)]), "big")
-                if r < limit:
-                    break
-                block += nblocks
-            yield decode(r % modulus)
+    def draw(trial: int, block: int) -> int:
+        """The trial's first draw below limit from block on."""
+        while (r := from_bytes(b"".join([sha(pack(seed, trial, b)).digest()
+                                         for b in range(block, block + nblocks)]), "big")) >= limit:
+            block += nblocks
+        return r
 
-    return Counter(masks())
+    single = nblocks == 1  # the common case, up to ~120 points at den 3: no join
+    tallies = Counter()
+    for first in range(start, stop, BATCH):
+        # a rejected draw is redrawn in place, so hash requests stay in trial order
+        residues = [(r if r < limit else draw(t, nblocks)) % modulus
+                    for t in range(first, min(first + BATCH, stop))
+                    for r in [from_bytes(sha(pack(seed, t, 0)).digest(), "big") if single
+                              else draw(t, 0)]]
+        tallies.update(decode(residues))
+    return tallies
 
 
 def _usable_cpus() -> int:

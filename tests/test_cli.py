@@ -580,3 +580,13 @@ def test_benchmark_commands_stdout_is_pinned(capsys, name):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_three_chunk_simulate_stdout_is_pinned(capsys):
+    # 15 interior points at den 3 decode in chunks of 7, 7 and 1 digits; the
+    # benchmark's (5,7) has 12 points, only two chunks
+    code, out, _ = run(capsys, "simulate", "--i", "6", "--j", "7", "--x", "1/3",
+                       "--trials", "50000", "--seed", "7", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "574dbd6880ba7de875481b82317773ad18aa238b41f936ce8d8e9ee8ac235ba6"

@@ -18,6 +18,7 @@ from latticechains.geometry import (
 )
 from latticechains import montecarlo
 from latticechains.montecarlo import (
+    BATCH,
     FrequencyTable,
     SimulationConfig,
     _count_masks,
@@ -296,14 +297,15 @@ def test_compare_rejects_wrong_trial_total():
 # stream 2: one uniform draw per trial, decoded into base-den digit coins
 
 
-def reference_masks(seed, trials, num, den, npoints, sha=hashlib.sha256):
-    """The stream-2 contract read literally: whole-draw rejection, then one
-    base-den digit per point, least significant first."""
+def reference_masks(seed, stop, num, den, npoints, sha=hashlib.sha256, start=0):
+    """The stream-2 contract read literally for trials start..stop-1:
+    whole-draw rejection, then one base-den digit per point, least
+    significant first."""
     modulus = den ** npoints
     nblocks = -(-(modulus.bit_length() + 64) // 256)
     limit = 2 ** (256 * nblocks) // modulus * modulus
     tallies = Counter()
-    for trial in range(trials):
+    for trial in range(start, stop):
         block = 0
         while True:
             data = b"".join(sha(struct.pack(">QQQ", seed, trial, b)).digest()
@@ -329,8 +331,7 @@ def reference_masks(seed, trials, num, den, npoints, sha=hashlib.sha256):
     (37, 100, 2),  # 100**2 > TABLE_SIZE: one digit per chunk, no table
 ])
 def test_decoder_is_exact_over_every_residue(num, den, npoints):
-    decode = mask_decoder(num, den, npoints)
-    masks = [decode(r) for r in range(den ** npoints)]
+    masks = mask_decoder(num, den, npoints)(list(range(den ** npoints)))
     # each residue decodes digit by digit, whatever the table width
     for r, mask in enumerate(masks):
         assert mask == sum(1 << p for p in range(npoints) if r // den ** p % den < num)
@@ -351,6 +352,25 @@ def test_decoder_is_exact_over_every_residue(num, den, npoints):
 def test_count_masks_follows_the_contract(seed, trials, num, den, npoints):
     assert _count_masks(seed, 0, trials, num, den, npoints) == \
         reference_masks(seed, trials, num, den, npoints)
+
+
+@pytest.mark.parametrize("num,den,npoints", [
+    (1, 3, 12),
+    (7, 2 ** 70, 3),  # no table
+])
+def test_count_masks_follows_the_contract_across_batches(num, den, npoints):
+    # starts mid-batch and spans more than two batches
+    start, stop = BATCH - 7, 2 * BATCH + 13
+    assert _count_masks(6, start, stop, num, den, npoints) == \
+        reference_masks(6, stop, num, den, npoints, start=start)
+
+
+def test_split_trial_ranges_add_up_to_the_whole():
+    # the --jobs split cuts the trial range anywhere, not only at batches
+    k, n = BATCH + 100, 2 * BATCH + 13
+    assert k % BATCH and n % BATCH
+    assert _count_masks(9, 0, k, 1, 3, 12) + _count_masks(9, k, n, 1, 3, 12) == \
+        _count_masks(9, 0, n, 1, 3, 12)
 
 
 def test_count_masks_golden_multi_chunk():
@@ -376,13 +396,10 @@ class FixedDigest:
         return self._digest
 
 
-@pytest.mark.parametrize("npoints,first_draw,rejected", [
-    (4, "all ones", True),
-    (4, "limit - 1", False),
-    (4, "limit", True),
-    (130, "all ones", True),  # two digests per draw
-])
-def test_draw_is_rejected_from_the_limit_on(monkeypatch, npoints, first_draw, rejected):
+def rig_first_draws(monkeypatch, npoints, first_draw):
+    """Make every trial's first draw the given value at 3**npoints; later
+    blocks hash as usual. Returns the list of (trial, block) requests, the
+    rigged sha256 and the blocks per draw."""
     modulus = 3 ** npoints
     nblocks = -(-(modulus.bit_length() + 64) // 256)
     span = 2 ** (256 * nblocks)
@@ -400,7 +417,33 @@ def test_draw_is_rejected_from_the_limit_on(monkeypatch, npoints, first_draw, re
         return real(data)
 
     monkeypatch.setattr(montecarlo, "sha256", rigged)
+    return requested, rigged, nblocks
+
+
+@pytest.mark.parametrize("npoints,first_draw,rejected", [
+    (4, "all ones", True),
+    (4, "limit - 1", False),
+    (4, "limit", True),
+    (130, "all ones", True),  # two digests per draw
+])
+def test_draw_is_rejected_from_the_limit_on(monkeypatch, npoints, first_draw, rejected):
+    requested, rigged, nblocks = rig_first_draws(monkeypatch, npoints, first_draw)
     tallies = _count_masks(4, 0, 20, 1, 3, npoints)
     blocks = range(2 * nblocks if rejected else nblocks)
     assert requested == [(t, b) for t in range(20) for b in blocks]
     assert tallies == reference_masks(4, 20, 1, 3, npoints, sha=rigged)
+
+
+@pytest.mark.parametrize("npoints,rejected", [
+    (4, True),
+    (130, True),
+    (0, False),  # 3**0 = 1 divides 2^256: no draw is rejected
+])
+def test_redraws_stay_in_trial_order_across_a_batch(monkeypatch, npoints, rejected):
+    requested, rigged, nblocks = rig_first_draws(monkeypatch, npoints, "all ones")
+    trials = range(BATCH - 10, BATCH + 10)
+    tallies = _count_masks(4, trials.start, trials.stop, 1, 3, npoints)
+    blocks = range(2 * nblocks if rejected else nblocks)
+    assert requested == [(t, b) for t in trials for b in blocks]
+    assert tallies == reference_masks(4, trials.stop, 1, 3, npoints, sha=rigged,
+                                      start=trials.start)
