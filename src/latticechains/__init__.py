@@ -16,7 +16,6 @@ from .geometry import (
     triangle_interior_points,
 )
 from .enumeration import (
-    CompositionD,
     enumerate_D,
     enumerate_polygons,
 )
@@ -48,7 +47,6 @@ from .explorer import (
 
 __all__ = [
     "ChainPolygon",
-    "CompositionD",
     "FrequencyTable",
     "IdentityReport",
     "PolygonStats",

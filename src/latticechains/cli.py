@@ -1,8 +1,9 @@
 """Command-line surface: verify, enumerate, simulate, explore, render.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-says which), 2 usage or configuration error. All output is deterministic:
-identical arguments give byte-identical stdout and files.
+says which), 2 usage or configuration error, or stdout closed by its reader
+before all output was written (quietly: `| head` is normal use). All output
+is deterministic: identical arguments give byte-identical stdout and files.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def cmd_verify(args) -> int:
             for name, ok in report.checks:
                 print(f"  {name}: {'pass' if ok else 'FAIL'}")
             print("  term ledger (steps, k, doubled exponent):")
-            for element, doubled, k in report.per_term_ledger:
-                print(f"    {element.steps} k={k} exp2={doubled}")
+            for steps, doubled, k in report.per_term_ledger:
+                print(f"    {steps} k={k} exp2={doubled}")
     if len(pairs) > 1:
         print(f"{len(pairs) - failures}/{len(pairs)} pairs pass")
     return 1 if failures else 0
@@ -389,7 +390,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): point the descriptor
+        # at devnull, so the interpreter's final flush has no pipe to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ remainder's first coordinate exceeds that of any step that could extend the
 prefix, so the closed chain comes after every extension. The proof path in
 verification reads these walks directly. enumerate_D and enumerate_polygons
 stable-sort the same walk by step count k, so their output is grouped by
-increasing k and lexicographic within a group, and validate each chain once:
-a D element through geometry.check_steps on its shear, a polygon through
-ChainPolygon.
+increasing k and lexicographic within a group, and validate each chain once.
+enumerate_D yields the bare step tuples, each after geometry.check_steps on
+its shear; enumerate_polygons yields a ChainPolygon per chain.
 
 Slopes are compared by integer cross products throughout. The walk takes a
 step only if it continues the slope order and the remainder can still
@@ -35,27 +35,9 @@ larger second coordinate once it fails, so the inner loop stops there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .geometry import ChainPolygon, Steps, TriangleSpec, check_steps
-
-
-@dataclass(frozen=True)
-class CompositionD:
-    """Steps (a_l, b_l), each 1 <= a < b, with slopes a/b strictly decreasing:
-    check_steps on the shear (a, b - a), which keeps each cross product. A
-    refusal therefore names the sheared steps."""
-
-    steps: Steps
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        check_steps(tuple([(a, b - a) for a, b in self.steps]))
-
-    @property
-    def k(self) -> int:
-        return len(self.steps)
 
 
 def chains_D(i: int, n: int) -> Iterator[Steps]:
@@ -96,10 +78,14 @@ def _walk_c(prefix, rem_x, rem_y):
     yield (*prefix, (rem_x, rem_y))
 
 
-def enumerate_D(i: int, n: int) -> Iterator[CompositionD]:
-    """Every element of the D family for (i, n), each exactly once."""
+def enumerate_D(i: int, n: int) -> Iterator[Steps]:
+    """The steps of every element of the D family for (i, n), each exactly
+    once. A D chain has steps (a, b), each 1 <= a < b, with slopes a/b
+    strictly decreasing: check_steps on the shear (a, b - a), which keeps
+    each cross product, so a refusal names the sheared steps."""
     for steps in sorted(chains_D(i, n), key=len):
-        yield CompositionD(steps)
+        check_steps(tuple([(a, b - a) for a, b in steps]))
+        yield steps
 
 
 def enumerate_polygons(spec: TriangleSpec) -> Iterator[ChainPolygon]:

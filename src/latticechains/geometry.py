@@ -133,11 +133,6 @@ class ChainPolygon:
         return len(self.vertices) - 1
 
     @property
-    def v_count(self) -> int:
-        """Number of polygon vertices (the chain is a (k+1)-gon)."""
-        return len(self.vertices)
-
-    @property
     def is_segment(self) -> bool:
         return len(self.vertices) == 2
 

@@ -213,14 +213,15 @@ def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
     npoints = config.spec.interior_count
     num, den = config.x.numerator, config.x.denominator
 
-    if jobs == 1 or config.trials < 2 * jobs:
+    # never more worker processes than usable CPUs (the pool starts all of
+    # its workers at the first submit), no pool for one worker, and one
+    # chunk of trials per worker
+    workers = min(jobs, _usable_cpus())
+    if workers == 1 or config.trials < 2 * workers:
         tallies = _count_masks(config.seed, 0, config.trials, num, den, npoints)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only this branch pays for it
 
-        # never more worker processes than usable CPUs (the pool starts all of
-        # its workers at the first submit), and one chunk of trials per worker
-        workers = min(jobs, _usable_cpus())
         per = -(-config.trials // workers)
         bounds = [(t, min(t + per, config.trials)) for t in range(0, config.trials, per)]
         tallies = Counter()

@@ -1,6 +1,6 @@
 """Exact verification of the chain-count identity, in three equivalent forms.
 
-Form 1 (step family D): sum over enumerate_D(i, n) of
+Form 1 (step family D): sum over the D chains of (i, n) of
     (q - 1)^(k-1) * q^(1 - k + (cross + gcdsum)/2)
 which must equal the single monomial q^((i*j - n)/2 + 1), j = n - i.
 
@@ -31,8 +31,9 @@ form_consistency ties the C family to the separately enumerated D family:
 as the shear keeps each chain's (key, k), their key histograms must be
 equal. That states the bijection itself; equal folds would not, as the
 fold has a kernel, v^s(1-v^-2)^p = v^s(1-v^-2)^(p+1) + v^(s-2)(1-v^-2)^p.
-No composition or chain polygon is built on this path, and check_steps
-runs on no chain: the walks' step conditions are the chain rule.
+No chain polygon is built on this path, and check_steps runs on no
+chain: the walks' step conditions are the chain rule. A failed report's
+per-term ledger lists the walk chains_D as the checks read it, unvalidated.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .enumeration import CompositionD, chains_C, chains_D, enumerate_D
-from .geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum
+from .enumeration import chains_C, chains_D
+from .geometry import Steps, TriangleSpec, pair_cross_sum, pair_gcd_sum
 from .polyalgebra import QHalfPoly, UnitPoly, q_monomial
 
 # names of verify_all's checks, in the order they run
@@ -69,14 +70,15 @@ class IdentityReport:
 
     @property
     def per_term_ledger(self) -> tuple:
-        """(element, doubled exponent, k) per D term, in enumeration order;
-        the family is enumerated again on each access."""
-        return tuple((d, d_term_doubled_exponent(d), d.k)
-                     for d in enumerate_D(self.spec.i, self.spec.n))
+        """(steps, doubled exponent, k) per D term, grouped by increasing k;
+        the walk chains_D runs again on each access and no chain is
+        validated, so a wrong walk is listed as the checks read it."""
+        return tuple((steps, d_term_doubled_exponent(steps), len(steps))
+                     for steps in sorted(chains_D(self.spec.i, self.spec.n), key=len))
 
 
-def d_term_doubled_exponent(d: CompositionD) -> int:
-    return 2 * (1 - d.k) + pair_cross_sum(d.steps) + pair_gcd_sum(d.steps)
+def d_term_doubled_exponent(steps: Steps) -> int:
+    return 2 * (1 - len(steps)) + pair_cross_sum(steps) + pair_gcd_sum(steps)
 
 
 def _term_keys(chains) -> Counter:

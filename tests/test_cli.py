@@ -71,6 +71,51 @@ def test_verify_failure_report_is_pinned(capsys, monkeypatch):
     assert out == VERIFY_FAILURE_REPORT
 
 
+WRONG_D_WALK_REPORT = """\
+i=2 n=5: lhs = q^(3/2), rhs = q^(3/2)  FAIL
+  first failed check: form_consistency
+  d_form: pass
+  polygon_form: pass
+  unit_sum: pass
+  unit_sum_process: pass
+  form_consistency: FAIL
+  term ledger (steps, k, doubled exponent):
+    ((2, 5),) k=1 exp2=1
+    ((1, 3), (1, 2)) k=2 exp2=-1
+    ((1, 1), (1, 1), (1, 1)) k=3 exp2=-1
+"""
+
+
+def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
+    # the three chains of test_form_consistency_catches_a_wrong_d_walk, two
+    # of them invalid: the ledger lists them as the checks read them
+    import latticechains.verification as verification
+
+    wrong = (((2, 5),), ((1, 1), (1, 1), (1, 1)), ((1, 3), (1, 2)))
+    monkeypatch.setattr(verification, "chains_D", lambda i, n: iter(wrong))
+    code, out, _ = run(capsys, "verify", "--i", "2", "--n", "5")
+    assert code == 1
+    assert out == WRONG_D_WALK_REPORT
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the reader takes one line of a 547 KB document, then closes the pipe.
+    # stdout stays buffered: unbuffered, the one large write comes back
+    # short and the text layer drops the rest without an error
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "latticechains", "enumerate", "--i", "12", "--j", "12",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b""
+
+
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--i", "3", "--n", "3")[0] == 2
     assert run(capsys, "verify", "--i", "2")[0] == 2

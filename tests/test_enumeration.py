@@ -8,8 +8,8 @@ from math import gcd
 
 import pytest
 
+from latticechains import enumeration
 from latticechains.enumeration import (
-    CompositionD,
     chains_C,
     chains_D,
     enumerate_D,
@@ -76,10 +76,10 @@ def c_steps(i, j):
 
 
 def test_frozen_D_examples():
-    assert [d.steps for d in enumerate_D(1, 2)] == [((1, 2),)]
-    assert [d.steps for d in enumerate_D(2, 4)] == [((2, 4),)]
-    assert [d.steps for d in enumerate_D(2, 5)] == [((2, 5),), ((1, 2), (1, 3))]
-    assert [d.steps for d in enumerate_D(3, 7)] == [
+    assert list(enumerate_D(1, 2)) == [((1, 2),)]
+    assert list(enumerate_D(2, 4)) == [((2, 4),)]
+    assert list(enumerate_D(2, 5)) == [((2, 5),), ((1, 2), (1, 3))]
+    assert list(enumerate_D(3, 7)) == [
         ((3, 7),),
         ((1, 2), (2, 5)),
         ((2, 3), (1, 4)),
@@ -101,7 +101,7 @@ def test_frozen_C_examples():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_D_matches_oracle(n):
     for i in range(1, n):
-        got = [d.steps for d in enumerate_D(i, n)]
+        got = list(enumerate_D(i, n))
         expected = oracle_D(i, n)
         assert sorted(got) == sorted(expected)
         assert len(set(got)) == len(got)
@@ -136,7 +136,7 @@ def test_D_sequence_is_the_oracle_in_k_then_lex_order(n, walk):
             for steps in seq:
                 check_steps(tuple((a, b - a) for a, b in steps))
         else:
-            assert [d.steps for d in enumerate_D(i, n)] == sorted(oracle_D(i, n), key=k_then_lex)
+            assert list(enumerate_D(i, n)) == sorted(oracle_D(i, n), key=k_then_lex)
 
 
 @pytest.mark.parametrize("j, walk", with_walks(range(1, 9)))
@@ -160,7 +160,7 @@ def test_output_grouped_by_k_then_lex():
             group = [s for s in seq if len(s) == k]
             assert group == sorted(group)
     for i, n in [(3, 8), (4, 9)]:
-        seq = [d.steps for d in enumerate_D(i, n)]
+        seq = list(enumerate_D(i, n))
         ks = [len(s) for s in seq]
         assert ks == sorted(ks)
         for k in set(ks):
@@ -177,7 +177,7 @@ def test_frozen_bijection_examples():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_bijection_is_order_preserving_and_inverse(n):
     for i in range(1, n):
-        d_list = [d.steps for d in enumerate_D(i, n)]
+        d_list = list(enumerate_D(i, n))
         c_list = c_steps(i, n - i)
         assert [shear(d) for d in d_list] == c_list
         assert [unshear(c) for c in c_list] == d_list
@@ -189,9 +189,9 @@ def test_bijection_is_order_preserving_and_inverse(n):
 def test_bijection_preserves_cross_and_gcd_sums(n):
     for i in range(1, n):
         for d in enumerate_D(i, n):
-            c = shear(d.steps)
-            assert pair_cross_sum(c) == pair_cross_sum(d.steps)
-            assert pair_gcd_sum(c) == pair_gcd_sum(d.steps)
+            c = shear(d)
+            assert pair_cross_sum(c) == pair_cross_sum(d)
+            assert pair_gcd_sum(c) == pair_gcd_sum(d)
 
 
 def test_pair_sums_by_hand():
@@ -254,10 +254,10 @@ def test_doubled_exponent_matches_polygon_counts(n):
         spec = TriangleSpec(i, n - i)
         g = gcd(i, n - i)
         for d, p in zip(enumerate_D(i, n), enumerate_polygons(spec), strict=True):
-            assert shear(d.steps) == p.steps
-            via_steps = 2 * (1 - d.k) + pair_cross_sum(d.steps) + pair_gcd_sum(d.steps)
+            assert shear(d) == p.steps
+            via_steps = 2 * (1 - len(d)) + pair_cross_sum(d) + pair_gcd_sum(d)
             stats = polygon_stats(p)
-            via_counts = 2 * (stats.interior + stats.boundary - (d.k - 1)) - 2 - g
+            via_counts = 2 * (stats.interior + stats.boundary - (len(d) - 1)) - 2 - g
             assert via_steps == via_counts
             assert stats.exponent_doubled == via_steps + 2 + g
 
@@ -278,20 +278,12 @@ def test_random_hull_compositions_are_valid(seed=20260819):
 
 def test_composition_validation_rejects_bad_steps():
     with pytest.raises(ValueError):
-        CompositionD(((2, 2),))
-    with pytest.raises(ValueError):
-        CompositionD(((1, 3), (1, 2)))  # slopes increase
-    with pytest.raises(ValueError):
-        CompositionD(())
-    with pytest.raises(ValueError):
         check_steps(((1, 0),))
     with pytest.raises(ValueError):
         check_steps(((2, 2), (1, 1)))  # equal slopes
     # non-int coordinates, bool included, are refused as ChainPolygon refuses them
     with pytest.raises(TypeError):
         check_steps(((1.5, 1),))
-    with pytest.raises(TypeError):
-        CompositionD(((1.5, 2.5),))
     with pytest.raises(TypeError):
         check_steps(((True, True), (1, 2)))
 
@@ -341,12 +333,16 @@ def accepts(make, *args):
     return True
 
 
-def test_compositions_accept_exactly_their_longhand_rules():
+def test_compositions_accept_exactly_their_longhand_rules(monkeypatch):
+    # enumerate_D's check, on a walk that yields the one chain tup
+    walk = []
+    monkeypatch.setattr(enumeration, "chains_D", lambda i, n: iter(walk))
     steps = list(product(range(-1, 5), repeat=2))
     for k in range(4):
         for tup in product(steps, repeat=k):
             assert accepts(check_steps, tup) == longhand_rule_C(tup), tup
-            assert accepts(CompositionD, tup) == longhand_rule_D(tup), tup
+            walk[:] = [tup]
+            assert accepts(lambda: list(enumerate_D(1, 2))) == longhand_rule_D(tup), tup
 
 
 def test_chain_polygon_accepts_exactly_its_longhand_rule():

@@ -134,12 +134,13 @@ def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
     cfg = SimulationConfig(TriangleSpec(4, 5), Fraction(1, 3), 640, 5)
     assert simulate(cfg, jobs=64).counts == simulate(cfg, jobs=1).counts
     assert InlineExecutor.max_workers == [2]
-    # a process limited to one of the host's two CPUs gets one worker
+    # one chunk of trials per worker, not one per requested job
+    assert InlineExecutor.submits == [2]
+    # a process limited to one of the host's two CPUs builds no pool at all
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert simulate(cfg, jobs=64).counts == simulate(cfg, jobs=1).counts
-    assert InlineExecutor.max_workers == [2, 1]
-    # one chunk of trials per worker, not one per requested job
-    assert InlineExecutor.submits == [2, 1]
+    assert InlineExecutor.max_workers == [2]
+    assert InlineExecutor.submits == [2]
 
 
 @pytest.mark.parametrize("i", range(1, 7))

@@ -167,7 +167,7 @@ def test_report_ledger_matches_enumeration():
     assert len(report.per_term_ledger) == len(ds)
     for (element, doubled, k), d in zip(report.per_term_ledger, ds):
         assert element == d
-        assert k == d.k
+        assert k == len(d)
         assert doubled == d_term_doubled_exponent(d)
 
 
@@ -215,7 +215,7 @@ def test_signature_matches_pick_route(i):
 
 def count_validations(monkeypatch) -> Counter:
     """Count check_steps calls, through the enumeration and geometry
-    bindings both, and the compositions and polygons built."""
+    bindings both, and the polygons built."""
     counts = Counter()
     check_steps = geometry.check_steps
 
@@ -225,13 +225,13 @@ def count_validations(monkeypatch) -> Counter:
 
     monkeypatch.setattr(enumeration, "check_steps", counting_check)
     monkeypatch.setattr(geometry, "check_steps", counting_check)
-    for name, cls in (("compositions", enumeration.CompositionD),
-                      ("polygons", ChainPolygon)):
-        def counting_post_init(self, name=name, post_init=cls.__post_init__):
-            counts[name] += 1
-            post_init(self)
+    post_init = ChainPolygon.__post_init__
 
-        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    def counting_post_init(self):
+        counts["polygons"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ChainPolygon, "__post_init__", counting_post_init)
     return counts
 
 
