@@ -1,9 +1,10 @@
 """Command-line surface: verify, enumerate, simulate, explore, render.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-says which), 2 usage or configuration error, or stdout closed by its reader
-before all output was written (quietly: `| head` is normal use). All output
-is deterministic: identical arguments give byte-identical stdout and files.
+says which), 2 usage or configuration error, a stdout that cannot be written
+(one line on stderr), or stdout closed by its reader before all output was
+written (quietly: `| head` is normal use). All output is deterministic:
+identical arguments give byte-identical stdout and files.
 """
 
 from __future__ import annotations
@@ -191,10 +192,11 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     records = records_for(TriangleSpec(args.i, args.j))
-    if args.format == "json":
-        sys.stdout.write(records_to_json(records))
-    else:
-        sys.stdout.write(records_to_csv(records))
+    text = records_to_json(records) if args.format == "json" else records_to_csv(records)
+    # ASCII slices of at most PIPE_BUF bytes (Linux): a pipe takes each whole
+    # or raises, even unbuffered, where one short write would drop the rest
+    for start in range(0, len(text), 4096):
+        sys.stdout.write(text[start:start + 4096])
     return 0
 
 
@@ -286,16 +288,16 @@ def render_svg(p: ChainPolygon, spec: TriangleSpec) -> str:
 
 def cmd_render(args) -> int:
     spec = TriangleSpec(args.i, args.j)
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-        for index, p in enumerate(enumerate_polygons(spec)):
-            path = os.path.join(args.out_dir, f"poly_{index}.svg")
+    for index, p in enumerate(enumerate_polygons(spec)):
+        path = os.path.join(args.out_dir, f"poly_{index}.svg")
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(render_svg(p, spec))
-            print(f"wrote {path}")
-    except OSError as exc:
-        print(f"cannot write under {args.out_dir}: {exc}", file=sys.stderr)
-        return 2
+        except OSError as exc:
+            print(f"cannot write under {args.out_dir}: {exc}", file=sys.stderr)
+            return 2
+        print(f"wrote {path}")
     return 0
 
 
@@ -385,6 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with descriptor 1 closed
+        print("cannot write output: stdout is closed", file=sys.stderr)
+        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -393,9 +398,12 @@ def main(argv=None) -> int:
     try:
         status = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (as `| head` does): point the descriptor
-        # at devnull, so the interpreter's final flush has no pipe to fail on
+    except OSError as exc:
+        # the reader closed stdout (as `| head` does, so quietly), or stdout
+        # cannot be written: point the descriptor at devnull, so the
+        # interpreter's final flush has nothing left to fail on
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

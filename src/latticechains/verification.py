@@ -151,12 +151,12 @@ def verify_all(i: int, n: int) -> IdentityReport:
     c_keys = _term_keys(chains_C(spec.i, spec.j))
     poly_lhs = _q_form(c_keys, spec.g + 2)
     sig = _signature(c_keys, spec)
-    results = (
-        ("d_form", lhs == rhs),
-        ("polygon_form", poly_lhs == rhs_main_via_polygons(spec)),
-        ("unit_sum", _unit_form(sig, swap=False) == UnitPoly.one()),
-        ("unit_sum_process", _unit_form(sig, swap=True) == UnitPoly.one()),
-        ("form_consistency", d_keys == c_keys),
-    )
+    results = tuple(zip(CHECK_NAMES, (
+        lhs == rhs,
+        poly_lhs == rhs_main_via_polygons(spec),
+        _unit_form(sig, swap=False) == UnitPoly.one(),
+        _unit_form(sig, swap=True) == UnitPoly.one(),
+        d_keys == c_keys,
+    )))
     failed = next((name for name, ok in results if not ok), None)
     return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=results, failed_check=failed)

@@ -98,22 +98,68 @@ def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
     assert out == WRONG_D_WALK_REPORT
 
 
-def test_a_closed_stdout_ends_quietly():
-    # the reader takes one line of a 547 KB document, then closes the pipe.
-    # stdout stays buffered: unbuffered, the one large write comes back
-    # short and the text layer drops the rest without an error
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env(unbuffered=False):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_quietly(unbuffered, fmt):
+    # the reader takes one line of a 547 KB document, then closes the pipe;
+    # unbuffered, one large write would come back short and the text layer
+    # would drop the rest without an error
     with subprocess.Popen(
         [sys.executable, "-m", "latticechains", "enumerate", "--i", "12", "--j", "12",
-         "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(unbuffered),
     ) as proc:
         proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == b""
+
+
+WRITING_COMMANDS = [
+    ["verify", "--i", "2", "--n", "5"],
+    ["enumerate", "--i", "9", "--j", "9"],
+    ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "100"],
+]
+
+
+def assert_refused_in_one_line(proc):
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [*WRITING_COMMANDS, ["render", "--i", "2", "--j", "3",
+                                                      "--out-dir", "figs"]],
+                         ids=lambda argv: argv[0])
+def test_a_full_stdout_exits_two_with_one_line(argv, tmp_path):
+    # render's files can be written, so its stdout is what fails
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "latticechains", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=cli_env(),
+                              cwd=tmp_path, timeout=60)
+    assert_refused_in_one_line(proc)
+    assert proc.stderr.startswith("cannot write output: [Errno 28]")
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_a_closed_stdout_descriptor_exits_two_with_one_line(argv):
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
+                           "-m", "latticechains", *argv],
+                          stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60)
+    assert_refused_in_one_line(proc)
 
 
 def test_verify_usage_errors(capsys):
