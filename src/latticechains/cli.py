@@ -16,9 +16,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, PolygonStats, TriangleSpec, polygon_stats, triangle_interior_points
@@ -35,8 +35,7 @@ CSV_COLUMNS = [*FIELDS, "vertices"]
 _field_values = attrgetter(*FIELDS.values())  # PolygonStats -> its FIELDS values, in order
 
 
-@dataclass(frozen=True)
-class PolygonRecord:
+class PolygonRecord(NamedTuple):
     """A serialized polygon: its vertices and the polygon_stats of the chain
     they form, so every statistic is recomputable."""
 
@@ -402,10 +401,13 @@ def main(argv=None) -> int:
         # the reader closed stdout (as `| head` does, so quietly), or stdout
         # cannot be written: point the descriptor at devnull, so the
         # interpreter's final flush has nothing left to fail on
-        if not isinstance(exc, BrokenPipeError):
-            print(f"cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            try:
+                print(f"cannot write output: {exc}", file=sys.stderr)
+            except OSError:  # nor can stderr, so its final flush goes to devnull too
+                os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return 2
     return status

@@ -21,11 +21,10 @@ required in every searched multiset, and it has a = 0).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from operator import add
 
-from .geometry import TriangleSpec
+from .geometry import FrozenSlots, TriangleSpec
 from .polyalgebra import UnitPoly
 from .verification import signature
 
@@ -36,14 +35,13 @@ class SearchCapExceeded(Exception):
     """The search placed more pairs than its node cap before finishing."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(FrozenSlots):
     """Multiset of exponent pairs, stored sorted so equality is multiset equality."""
 
-    pairs: tuple
+    __slots__ = _fields = ("pairs",)
 
-    def __post_init__(self):
-        pairs = tuple((a, b) for a, b in self.pairs)
+    def __init__(self, pairs: tuple):
+        pairs = tuple((a, b) for a, b in pairs)
         for a, b in pairs:
             if type(a) is not int or type(b) is not int:
                 raise TypeError(f"exponents must be ints, got ({a!r}, {b!r})")

@@ -10,8 +10,9 @@ pair_cross_sum and pair_gcd_sum, are written here over step tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from operator import attrgetter
+from typing import NamedTuple
 
 
 Point = tuple[int, int]  # a point of the integer lattice Z^2
@@ -58,8 +59,45 @@ def pair_gcd_sum(steps: Steps) -> int:
     return sum(gcd(a, b) for a, b in steps)
 
 
-@dataclass(frozen=True)
-class TriangleSpec:
+class FrozenSlots:
+    """Base of the immutable value types whose constructor validates or
+    derives fields. A subclass lists its constructor's fields in _fields and
+    sets its slots in __init__ through object.__setattr__. Equality, hashing,
+    repr and pickling read the _fields alone; assignment raises AttributeError.
+    Plain records are NamedTuples. Neither uses dataclasses, whose import and
+    decorators took a third of the import time that every command pays."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        # eq and hash read the fields in C, since explore compares signatures
+        # in a loop; with one field, the key is that field's value
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TriangleSpec(FrozenSlots):
     """The right triangle with corners (0,0), (i,0), (i,j); its hypotenuse
     runs from (0,0) to (i,j) and is called the closing segment below.
 
@@ -68,19 +106,19 @@ class TriangleSpec:
     the lattice points strictly inside, by Pick's theorem.
     """
 
-    i: int
-    j: int
-    g: int = field(init=False, compare=False, repr=False)
-    interior_count: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("i", "j", "g", "interior_count")
+    _fields = ("i", "j")
 
-    def __post_init__(self):
-        if type(self.i) is not int or type(self.j) is not int:
-            raise TypeError(f"triangle legs must be ints, got i={self.i!r}, j={self.j!r}")
-        if self.i < 1 or self.j < 1:
-            raise ValueError(f"triangle legs must be >= 1, got i={self.i}, j={self.j}")
-        g = gcd(self.i, self.j)
+    def __init__(self, i: int, j: int):
+        if type(i) is not int or type(j) is not int:
+            raise TypeError(f"triangle legs must be ints, got i={i!r}, j={j!r}")
+        if i < 1 or j < 1:
+            raise ValueError(f"triangle legs must be >= 1, got i={i}, j={j}")
+        g = gcd(i, j)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "interior_count", (self.i * self.j - self.n - g + 2) // 2)
+        object.__setattr__(self, "interior_count", (i * j - i - j - g + 2) // 2)
 
     @property
     def n(self) -> int:
@@ -96,8 +134,7 @@ class TriangleSpec:
         return y > 0 and x < self.i and self.j * x - self.i * y > 0
 
 
-@dataclass(frozen=True)
-class ChainPolygon:
+class ChainPolygon(FrozenSlots):
     """A convex polygon inside the triangle, given as its chain of vertices
     from (0,0) to (i,j); the closing hypotenuse edge is implicit.
 
@@ -107,24 +144,24 @@ class ChainPolygon:
     the hypotenuse, as each step before it is flatter than each one after.
     """
 
-    vertices: tuple[Point, ...]
-    spec: TriangleSpec
-    steps: Steps = field(init=False, compare=False, repr=False)
+    __slots__ = ("vertices", "spec", "steps")
+    _fields = ("vertices", "spec")
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: tuple[Point, ...], spec: TriangleSpec):
+        verts = tuple(vertices)
         for v in verts:
             _require_point(v)
         if len(verts) < 2:
             raise ValueError("chain needs at least 2 vertices")
         if verts[0] != (0, 0):
             raise ValueError(f"chain must start at (0,0), got {verts[0]}")
-        if verts[-1] != (self.spec.i, self.spec.j):
-            raise ValueError(f"chain must end at ({self.spec.i},{self.spec.j}), got {verts[-1]}")
+        if verts[-1] != (spec.i, spec.j):
+            raise ValueError(f"chain must end at ({spec.i},{spec.j}), got {verts[-1]}")
         # a list comprehension: on this per-polygon path a generator is slower
         steps = tuple([(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:])])
         check_steps(steps)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "steps", steps)
 
     @property
@@ -153,8 +190,7 @@ def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
     return points
 
 
-@dataclass(frozen=True)
-class PolygonStats:
+class PolygonStats(NamedTuple):
     """The integer invariants of one chain polygon: its k, v(P), i(P), b(P),
     doubled area and u(P), and the doubled q-exponent of its polygon-form
     term, 2 * (i(P) + b(P) - (k - 1))."""

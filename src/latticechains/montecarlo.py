@@ -44,36 +44,34 @@ from __future__ import annotations
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from itertools import groupby
 from math import inf, sqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .enumeration import enumerate_polygons
-from .geometry import ChainPolygon, TriangleSpec, lower_hull, polygon_stats, triangle_interior_points
+from .geometry import (ChainPolygon, FrozenSlots, TriangleSpec, lower_hull, polygon_stats,
+                       triangle_interior_points)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    spec: TriangleSpec
-    x: Fraction
-    trials: int
-    seed: int
+class SimulationConfig(FrozenSlots):
+    __slots__ = _fields = ("spec", "x", "trials", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        if not 0 < self.x < 1:
-            raise ValueError(f"x must lie strictly between 0 and 1, got {self.x}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2 ** 64:
+    def __init__(self, spec: TriangleSpec, x: Fraction, trials: int, seed: int):
+        x = Fraction(x)
+        if not 0 < x < 1:
+            raise ValueError(f"x must lie strictly between 0 and 1, got {x}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        for name, value in zip(self._fields, (spec, x, trials, seed)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     counts: dict  # ChainPolygon -> nonnegative int
 
     @property
@@ -235,8 +233,7 @@ def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
     return FrequencyTable(_hull_counts(tallies, config.spec))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     polygon: ChainPolygon
     count: int
     empirical: float
@@ -245,8 +242,7 @@ class ComparisonRow:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     config: SimulationConfig
     rows: tuple
     exact_total: Fraction

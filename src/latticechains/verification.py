@@ -39,8 +39,7 @@ per-term ledger lists the walk chains_D as the checks read it, unvalidated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enumeration import chains_C, chains_D
 from .geometry import Steps, TriangleSpec, pair_cross_sum, pair_gcd_sum
@@ -56,8 +55,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     spec: TriangleSpec
     lhs: QHalfPoly
     rhs: QHalfPoly

@@ -1,6 +1,5 @@
 """End-to-end command tests: exit codes, schemas, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -154,6 +153,20 @@ def test_a_full_stdout_exits_two_with_one_line(argv, tmp_path):
     assert proc.stderr.startswith("cannot write output: [Errno 28]")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, stdout", [
+    (["verify", "--i", "2", "--n", "5"], "/dev/full"),  # the report cannot be written
+    (["verify", "--i", "2"], os.devnull),  # a usage error
+], ids=["full-stdout", "usage-error"])
+def test_a_full_stderr_keeps_exit_two(argv, stdout):
+    # the one line for stderr cannot be written either; it must not turn
+    # exit 2 into the exit 1 of a failed check
+    with open(stdout, "w") as out, open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "latticechains", *argv], stdout=out,
+                              stderr=full, env=cli_env(), timeout=60)
+    assert proc.returncode == 2
+
+
 @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
 def test_a_closed_stdout_descriptor_exits_two_with_one_line(argv):
     proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
@@ -203,7 +216,7 @@ def test_record_validation_catches_tampering():
     record = records_for(TriangleSpec(2, 3))[1]
     broken = PolygonRecord(
         record.vertices,
-        dataclasses.replace(record.stats, interior=record.stats.interior + 1),
+        record.stats._replace(interior=record.stats.interior + 1),
     )
     with pytest.raises(ValueError):
         broken.validate()
@@ -445,6 +458,19 @@ def test_importing_the_cli_leaves_out_the_process_pool():
          "import sys, latticechains.cli; "
          "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # start-up is most of a short command, and these two cost it about 17 ms;
+    # only what the import adds counts, so a site hook that preloads one passes
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import latticechains.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -164,13 +164,13 @@ def test_collinear_chosen_points_leave_the_hull():
 def test_simulate_builds_one_polygon_per_distinct_hull(monkeypatch):
     cfg = SimulationConfig(TriangleSpec(5, 7), Fraction(1, 3), 2000, 7)
     built = []
-    post_init = ChainPolygon.__post_init__
+    init = ChainPolygon.__init__
 
-    def counting(self):
-        built.append(self.vertices)
-        post_init(self)
+    def counting(self, vertices, spec):
+        built.append(vertices)
+        init(self, vertices, spec)
 
-    monkeypatch.setattr(ChainPolygon, "__post_init__", counting)
+    monkeypatch.setattr(ChainPolygon, "__init__", counting)
     table = simulate(cfg)
     masks = _count_masks(cfg.seed, 0, cfg.trials, 1, 3, cfg.spec.interior_count)
     assert len(built) == len(table.counts) < len(masks)

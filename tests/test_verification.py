@@ -225,13 +225,13 @@ def count_validations(monkeypatch) -> Counter:
 
     monkeypatch.setattr(enumeration, "check_steps", counting_check)
     monkeypatch.setattr(geometry, "check_steps", counting_check)
-    post_init = ChainPolygon.__post_init__
+    init = ChainPolygon.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, vertices, spec):
         counts["polygons"] += 1
-        post_init(self)
+        init(self, vertices, spec)
 
-    monkeypatch.setattr(ChainPolygon, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ChainPolygon, "__init__", counting_init)
     return counts
 
 
