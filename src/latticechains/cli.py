@@ -1,10 +1,12 @@
 """Command-line surface: verify, enumerate, simulate, explore, render.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-says which), 2 usage or configuration error, a stdout that cannot be written
-(one line on stderr), or stdout closed by its reader before all output was
-written (quietly: `| head` is normal use). All output is deterministic:
-identical arguments give byte-identical stdout and files.
+Exit codes: 0 all checks pass (or help was written), 1 a mathematical check
+failed (the report says which), 2 a refusal, whose line only `refuse` writes:
+a usage or configuration error, a stdout that cannot be written, help
+included (one line on stderr), or stdout closed by its reader (quietly:
+`| head` is normal use). An unwritable stderr changes no exit code, and
+stdout already written is kept. Identical arguments give byte-identical
+stdout and files.
 """
 
 from __future__ import annotations
@@ -142,33 +144,40 @@ def _canonical_int(cell: str) -> int:
     return value
 
 
-def format_signature(sig) -> str:
-    inner = ",".join(f"({a},{b})" for a, b in sorted(sig.pairs, reverse=True))
-    return "{" + inner + "}"
-
-
-def format_vertices(p: ChainPolygon) -> str:
-    return "-".join(f"({x},{y})" for x, y in p.vertices)
-
-
 # ---------------------------------------------------------------- commands
+
+def refuse(message=None) -> int:
+    """Exit 2's one path: write `message` as one line on stderr, after
+    whatever argparse left there. A stderr that cannot take it goes to
+    devnull; stdout is not touched, so what a command wrote is kept."""
+    try:
+        if message:
+            sys.stderr.write(message + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return 2
+
+
+def _to_devnull(stream) -> None:
+    # the interpreter's final flush of what the stream holds then cannot fail
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
 
 def cmd_verify(args) -> int:
     if args.all_up_to is not None:
         if args.i is not None or args.n is not None:
-            print("--all-up-to cannot be combined with --i/--n", file=sys.stderr)
-            return 2
+            return refuse("--all-up-to cannot be combined with --i/--n")
         if args.all_up_to < 2:
-            print(f"--all-up-to needs N >= 2, got {args.all_up_to}", file=sys.stderr)
-            return 2
+            return refuse(f"--all-up-to needs N >= 2, got {args.all_up_to}")
         pairs = [(i, n) for n in range(2, args.all_up_to + 1) for i in range(1, n)]
     else:
         if args.i is None or args.n is None:
-            print("need either --i and --n, or --all-up-to", file=sys.stderr)
-            return 2
+            return refuse("need either --i and --n, or --all-up-to")
         if not 1 <= args.i < args.n:
-            print(f"need 1 <= i < n, got i={args.i}, n={args.n}", file=sys.stderr)
-            return 2
+            return refuse(f"need 1 <= i < n, got i={args.i}, n={args.n}")
         pairs = [(args.i, args.n)]
 
     failures = 0
@@ -203,8 +212,7 @@ def cmd_simulate(args) -> int:
     try:
         config = SimulationConfig(TriangleSpec(args.i, args.j), args.x, args.trials, args.seed)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return refuse(str(exc))
     table = simulate(config, jobs=args.jobs)
     report = compare(table, config, z_threshold=args.z_threshold)
 
@@ -212,7 +220,7 @@ def cmd_simulate(args) -> int:
           f"seed = {config.seed}, stream = {STREAM}")
     print(f"{'polygon':<36} {'count':>9} {'empirical':>10} {'exact':>10} {'z':>8}")
     for row in report.rows:
-        name = format_vertices(row.polygon)
+        name = "-".join(f"({x},{y})" for x, y in row.polygon.vertices)
         flag = "  <-- |z| above threshold" if row.flagged else ""
         print(f"{name:<36} {row.count:>9} {row.empirical:>10.6f} {str(row.exact):>10} {row.z:>+8.3f}{flag}")
     print(f"exact probabilities sum to 1: {'yes' if report.exact_total == 1 else 'NO (' + str(report.exact_total) + ')'}")
@@ -228,13 +236,9 @@ def cmd_explore(args) -> int:
         found = search_unit_multisets(args.max_a, args.max_b, args.max_size,
                                       node_cap=args.node_cap)
     except SearchCapExceeded as exc:
-        print(f"search cap hit: {exc}; raise --node-cap to finish the search",
-              file=sys.stderr)
-        return 2
+        return refuse(f"search cap hit: {exc}; raise --node-cap to finish the search")
     except MemoryError:
-        print("search ran out of memory; lower --max-a, --max-b or --max-size",
-              file=sys.stderr)
-        return 2
+        return refuse("search ran out of memory; lower --max-a, --max-b or --max-size")
     if args.collapse_sets:
         found = list(dict.fromkeys(sig.as_set() for sig in found))
     print(f"search bounds: a <= {args.max_a}, b <= {args.max_b}, size <= {args.max_size}")
@@ -245,7 +249,8 @@ def cmd_explore(args) -> int:
     for sig in found:
         matches = match_signature(sig, args.max_m, args.max_n, signatures)
         shown = ", ".join(f"({m},{n})" for m, n in matches) if matches else "none"
-        print(f"{format_signature(sig)}")
+        pairs = ",".join(f"({a},{b})" for a, b in sorted(sig.pairs, reverse=True))
+        print("{" + pairs + "}")
         print(f"  triangles up to ({args.max_m},{args.max_n}): {shown}")
     return 0
 
@@ -294,8 +299,7 @@ def cmd_render(args) -> int:
             with open(path, "w") as fh:
                 fh.write(render_svg(p, spec))
         except OSError as exc:
-            print(f"cannot write under {args.out_dir}: {exc}", file=sys.stderr)
-            return 2
+            return refuse(f"cannot write under {args.out_dir}: {exc}")
         print(f"wrote {path}")
     return 0
 
@@ -334,8 +338,14 @@ def unit_fraction(text: str) -> Fraction:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse swallows a failed write of its help; let it reach main
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticechains",
         description="Exact verification of the convex chain identity and its process form.",
     )
@@ -387,31 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if sys.stdout is None:  # started with descriptor 1 closed
-        print("cannot write output: stdout is closed", file=sys.stderr)
-        return 2
-    parser = build_parser()
+        return refuse("cannot write output: stdout is closed")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        status = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse wrote its help (0) or a usage error (2)
+            status = refuse() if exc.code else 0
+        else:
+            status = args.func(args)
         sys.stdout.flush()
     except OSError as exc:
-        # the reader closed stdout (as `| head` does, so quietly), or stdout
-        # cannot be written: point the descriptor at devnull, so the
-        # interpreter's final flush has nothing left to fail on
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            try:
-                print(f"cannot write output: {exc}", file=sys.stderr)
-            except OSError:  # nor can stderr, so its final flush goes to devnull too
-                os.dup2(devnull, sys.stderr.fileno())
-        os.close(devnull)
-        return 2
+        # stdout closed by its reader (quietly: `| head` is normal use) or unwritable
+        _to_devnull(sys.stdout)
+        return refuse(None if isinstance(exc, BrokenPipeError) else f"cannot write output: {exc}")
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

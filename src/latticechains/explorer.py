@@ -66,7 +66,7 @@ def triangle_signature(m: int, n: int) -> Signature:
 
 def unit_sum_of(sig: Signature) -> UnitPoly:
     """Sum of x^a * (1-x)^b over the multiset, folded from its histogram."""
-    return UnitPoly.fold_terms(Counter(sig), step=1)
+    return UnitPoly.fold_terms(Counter(sig))
 
 
 def is_unit_multiset(sig: Signature) -> bool:

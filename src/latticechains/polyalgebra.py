@@ -15,7 +15,7 @@ Every identity form is a sum of terms of one shape,
 so ``fold_terms`` sums a whole form from its term histogram
 {(shift, power): mult}: each distinct key is expanded once by the binomial
 theorem into one shared coefficient dict, and the polynomial is built once.
-The unit sums use y = x, step = 1; the q-forms use y = v, step = -2, since
+``UnitPoly`` folds y = x, step = 1, ``QHalfPoly`` y = v, step = -2, since
 (q - 1)^(k-1) * q^(d/2) = v^(d + 2k - 2) * (1 - v^-2)^(k-1).
 """
 
@@ -50,13 +50,13 @@ class _Poly:
         return cls({exponent: coeff})
 
     @classmethod
-    def fold_terms(cls, histogram, step: int):
+    def fold_terms(cls, histogram):
         """Sum of mult * y^shift * (1 - y^step)^power over a {(shift, power):
-        mult} mapping; the empty mapping gives zero."""
+        mult} mapping, with the type's own step; the empty mapping gives zero."""
         coeffs = {}
         for (shift, power), mult in histogram.items():
             for t in range(power + 1):
-                e = shift + step * t
+                e = shift + cls._step * t
                 coeffs[e] = coeffs.get(e, 0) + (-mult if t & 1 else mult) * comb(power, t)
         return cls(coeffs)
 
@@ -120,7 +120,7 @@ class QHalfPoly(_Poly):
     """Laurent polynomial in v with q = v^2; rendered in terms of q."""
 
     __slots__ = ()
-    _allow_negative = True
+    _step = -2
 
     @staticmethod
     def _var_text(e) -> str:
@@ -142,6 +142,7 @@ class UnitPoly(_Poly):
 
     __slots__ = ()
     _allow_negative = False
+    _step = 1
 
     @staticmethod
     def _var_text(e) -> str:
@@ -155,4 +156,4 @@ def term_x_pow_times_one_minus_x_pow(a: int, b: int) -> UnitPoly:
     """Expansion of x^a * (1-x)^b with exact signed binomial coefficients."""
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
-    return UnitPoly.fold_terms({(a, b): 1}, step=1)
+    return UnitPoly.fold_terms({(a, b): 1})

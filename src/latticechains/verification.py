@@ -60,7 +60,11 @@ class IdentityReport(NamedTuple):
     lhs: QHalfPoly
     rhs: QHalfPoly
     checks: tuple  # (name, passed) in CHECK_NAMES order
-    failed_check: Optional[str]
+
+    @property
+    def failed_check(self) -> Optional[str]:
+        """The first check that failed, or None."""
+        return next((name for name, ok in self.checks if not ok), None)
 
     @property
     def all_passed(self) -> bool:
@@ -86,8 +90,7 @@ def _term_keys(chains) -> Counter:
 
 def _q_form(keys, shift: int) -> QHalfPoly:
     """Sum of v^(key + shift) * (1 - v^-2)^(k-1) over the key histogram."""
-    return QHalfPoly.fold_terms({(key + shift, k - 1): mult for (key, k), mult in keys.items()},
-                                step=-2)
+    return QHalfPoly.fold_terms({(key + shift, k - 1): mult for (key, k), mult in keys.items()})
 
 
 def _signature(keys, spec: TriangleSpec) -> Counter:
@@ -100,7 +103,7 @@ def _unit_form(sig, swap: bool) -> UnitPoly:
     """Sum of x^u * (1-x)^(v-2) over the signature, or of (1-x)^u * x^(v-2) if swap."""
     if swap:
         sig = {(b, a): mult for (a, b), mult in sig.items()}
-    return UnitPoly.fold_terms(sig, step=1)
+    return UnitPoly.fold_terms(sig)
 
 
 def lhs_main_via_D(i: int, n: int) -> QHalfPoly:
@@ -149,12 +152,11 @@ def verify_all(i: int, n: int) -> IdentityReport:
     c_keys = _term_keys(chains_C(spec.i, spec.j))
     poly_lhs = _q_form(c_keys, spec.g + 2)
     sig = _signature(c_keys, spec)
-    results = tuple(zip(CHECK_NAMES, (
+    checks = tuple(zip(CHECK_NAMES, (
         lhs == rhs,
         poly_lhs == rhs_main_via_polygons(spec),
         _unit_form(sig, swap=False) == UnitPoly.one(),
         _unit_form(sig, swap=True) == UnitPoly.one(),
         d_keys == c_keys,
     )))
-    failed = next((name for name, ok in results if not ok), None)
-    return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=results, failed_check=failed)
+    return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks)

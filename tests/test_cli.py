@@ -175,6 +175,38 @@ def test_a_closed_stdout_descriptor_exits_two_with_one_line(argv):
     assert_refused_in_one_line(proc)
 
 
+FULL = "cannot write output: [Errno 28] No space left on device\n"
+
+# argv, shell redirections, then the stdout and stderr that reach the test
+EXIT_MATRIX = {
+    "usage-error-full-stderr": (["nonsense"], ">/dev/null 2>/dev/full", "", ""),
+    "bad-option-full-stderr": (["simulate", "--i", "2", "--j", "3", "--x", "3/2", "--trials", "5"],
+                               "2>/dev/full", "", ""),
+    "help-full-stdout": (["--help"], ">/dev/full", "", FULL),
+    "subcommand-help-full-stdout": (["verify", "--help"], ">/dev/full", "", FULL),
+    "closed-stdout-full-stderr": (["verify", "--i", "2", "--n", "5"], ">&- 2>/dev/full", "", ""),
+    # render's second file is a directory, so it refuses after writing one
+    "render-refusal-full-stderr": (["render", "--i", "2", "--j", "3", "--out-dir", "figs"],
+                                   "2>/dev/full", "wrote figs/poly_0.svg\n", ""),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", sorted(EXIT_MATRIX))
+def test_every_refusal_exits_two(case, unbuffered, tmp_path):
+    # no line a refusal writes, argparse's included, may turn exit 2 into
+    # 120 (a failed final flush) or 1 (an uncaught write error), nor cost
+    # the stdout a command wrote before it refused
+    argv, redirections, stdout, stderr = EXIT_MATRIX[case]
+    (tmp_path / "figs" / "poly_1.svg").mkdir(parents=True)
+    proc = subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirections}', sys.executable,
+                           "-m", "latticechains", *argv],
+                          capture_output=True, text=True, env=cli_env(unbuffered),
+                          cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, stdout, stderr)
+
+
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--i", "3", "--n", "3")[0] == 2
     assert run(capsys, "verify", "--i", "2")[0] == 2

@@ -37,8 +37,14 @@ def evaluate(p, x):
 
 def test_empty_product_is_one():
     # a k = 1 term folds to its bare monomial: (1 - v^-2)^0 = 1
-    assert QHalfPoly.fold_terms({(0, 0): 1}, step=-2) == QHalfPoly.one()
-    assert UnitPoly.fold_terms({(0, 0): 1}, step=1) == UnitPoly.one()
+    assert QHalfPoly.fold_terms({(0, 0): 1}) == QHalfPoly.one()
+    assert UnitPoly.fold_terms({(0, 0): 1}) == UnitPoly.one()
+
+
+def test_each_type_folds_with_its_own_step():
+    # one term y^0 * (1 - y^step)^1: step -2 in v for QHalfPoly, 1 in x for UnitPoly
+    assert QHalfPoly.fold_terms({(0, 1): 1}).render() == "1 - q^-1"
+    assert UnitPoly.fold_terms({(0, 1): 1}).render() == "-x + 1"
 
 
 def test_q_minus_one_times_sqrt_q():
@@ -151,17 +157,17 @@ def term_by_term(cls, histogram, one_minus):
 @given(st.dictionaries(st.tuples(st.integers(-12, 12), st.integers(0, 7)), mults, max_size=8))
 def test_q_fold_matches_term_by_term_sum(histogram):
     one_minus_v_to_minus_2 = QHalfPoly.one() + QHalfPoly.monomial(-2, -1)
-    assert QHalfPoly.fold_terms(histogram, step=-2) == term_by_term(
+    assert QHalfPoly.fold_terms(histogram) == term_by_term(
         QHalfPoly, histogram, one_minus_v_to_minus_2)
 
 
 @SETTINGS
 @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 7)), mults, max_size=8))
 def test_unit_fold_matches_term_by_term_sum(histogram):
-    assert UnitPoly.fold_terms(histogram, step=1) == term_by_term(
+    assert UnitPoly.fold_terms(histogram) == term_by_term(
         UnitPoly, histogram, ONE_MINUS_X)
 
 
 def test_empty_fold_is_zero():
-    assert QHalfPoly.fold_terms({}, step=-2) == QHalfPoly()
-    assert UnitPoly.fold_terms(Counter(), step=1) == UnitPoly()
+    assert QHalfPoly.fold_terms({}) == QHalfPoly()
+    assert UnitPoly.fold_terms(Counter()) == UnitPoly()

@@ -63,10 +63,11 @@ VALUES = {
                          {"config": CONFIG, "rows": (ROW,), "exact_total": Fraction(1),
                           "z_threshold": 4.0},
                          ComparisonReport(CONFIG, (ROW,), Fraction(1), 5.0)),
-    "IdentityReport": (lambda: verify_all(2, 5), ("spec", "lhs", "rhs", "checks", "failed_check"),
+    "IdentityReport": (lambda: verify_all(2, 5), ("spec", "lhs", "rhs", "checks"),
                        {"spec": REPORT.spec, "lhs": REPORT.lhs, "rhs": REPORT.rhs,
-                        "checks": REPORT.checks, "failed_check": None},
-                       IdentityReport(REPORT.spec, REPORT.lhs, REPORT.rhs, REPORT.checks, "d_form")),
+                        "checks": REPORT.checks},
+                       IdentityReport(REPORT.spec, REPORT.lhs, REPORT.rhs,
+                                      (("d_form", False), *REPORT.checks[1:]))),
 }
 # FrequencyTable holds a dict, and IdentityReport polynomials, which do not hash
 HASHABLE = sorted(VALUES.keys() - {"FrequencyTable", "IdentityReport"})

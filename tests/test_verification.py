@@ -191,6 +191,13 @@ def test_violation_is_reported_not_raised(monkeypatch):
     assert dict(report.checks)["unit_sum"] is True
 
 
+def test_the_verdict_is_read_off_the_checks():
+    report = verify_all(2, 5)
+    flipped = report._replace(checks=(*report.checks[:2], ("unit_sum", False), *report.checks[3:]))
+    assert report.all_passed and report.failed_check is None
+    assert not flipped.all_passed and flipped.failed_check == "unit_sum"
+
+
 def test_form_consistency_catches_a_wrong_d_walk(monkeypatch):
     # three chains for (2,5), two of them invalid, in place of the true two;
     # their terms fold to the true lhs, since the fold has a kernel, so only
