@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from operator import attrgetter
 from typing import NamedTuple
 
 from .enumeration import enumerate_polygons
@@ -28,13 +27,11 @@ from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all
 
-# The record schema: each JSON key and CSV column, in CSV column order, and
-# the PolygonStats attribute it holds. The vertices are the last CSV column
-# and the first JSON key.
-FIELDS = {"k": "k", "vCount": "v_count", "iP": "interior", "bP": "boundary",
-          "area2": "area2", "u": "u", "exponentDoubled": "exponent_doubled"}
+# The record schema: each JSON key and CSV column, in CSV column order, which
+# is PolygonStats' field order: the key at each place holds the field at that
+# place. The vertices are the last CSV column and the first JSON key.
+FIELDS = ("k", "vCount", "iP", "bP", "area2", "u", "exponentDoubled")
 CSV_COLUMNS = [*FIELDS, "vertices"]
-_field_values = attrgetter(*FIELDS.values())  # PolygonStats -> its FIELDS values, in order
 
 
 class PolygonRecord(NamedTuple):
@@ -46,7 +43,7 @@ class PolygonRecord(NamedTuple):
 
     def to_json_obj(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices],
-                **dict(zip(FIELDS, _field_values(self.stats)))}
+                **dict(zip(FIELDS, self.stats))}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolygonRecord":
@@ -56,8 +53,7 @@ class PolygonRecord(NamedTuple):
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)}")
         vertices = tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"])
-        return cls(vertices, PolygonStats(**{attr: _json_int(obj[key])
-                                             for key, attr in FIELDS.items()}))
+        return cls(vertices, PolygonStats(*[_json_int(obj[key]) for key in FIELDS]))
 
     def validate(self) -> None:
         """Recompute everything from the vertices; mismatch means corruption."""
@@ -109,7 +105,7 @@ def records_to_csv(records) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow([
-            *_field_values(r.stats),
+            *r.stats,
             json.dumps([list(v) for v in r.vertices], separators=(",", ":")),
         ])
     return out.getvalue()
@@ -247,7 +243,7 @@ def cmd_explore(args) -> int:
     if args.collapse_sets:
         signatures = {mn: sig.as_set() for mn, sig in signatures.items()}
     for sig in found:
-        matches = match_signature(sig, args.max_m, args.max_n, signatures)
+        matches = match_signature(sig, signatures)
         shown = ", ".join(f"({m},{n})" for m, n in matches) if matches else "none"
         pairs = ",".join(f"({a},{b})" for a, b in sorted(sig.pairs, reverse=True))
         print("{" + pairs + "}")
@@ -259,7 +255,8 @@ SCALE = 32
 PAD = 16
 
 
-def render_svg(p: ChainPolygon, spec: TriangleSpec) -> str:
+def render_svg(p: ChainPolygon) -> str:
+    spec = p.spec
     width = spec.i * SCALE + 2 * PAD
     height = spec.j * SCALE + 2 * PAD
 
@@ -297,7 +294,7 @@ def cmd_render(args) -> int:
         try:
             os.makedirs(args.out_dir, exist_ok=True)
             with open(path, "w") as fh:
-                fh.write(render_svg(p, spec))
+                fh.write(render_svg(p))
         except OSError as exc:
             return refuse(f"cannot write under {args.out_dir}: {exc}")
         print(f"wrote {path}")

@@ -177,13 +177,9 @@ def triangle_signatures(max_m: int, max_n: int) -> dict:
             for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
 
 
-def match_signature(sig: Signature, max_m: int, max_n: int, signatures=None) -> list:
-    """All (m, n) within bounds whose triangle signature equals sig.
-
-    `signatures` is a map from triangle_signatures to filter instead of
-    computing one, so a caller matching many multisets computes each
-    signature once; its values may be collapsed with as_set()."""
-    if signatures is None:
-        signatures = triangle_signatures(max_m, max_n)
-    return [(m, n) for (m, n), other in signatures.items()
-            if other == sig and m <= max_m and n <= max_n]
+def match_signature(sig: Signature, signatures: dict) -> list:
+    """Every (m, n) in `signatures`, a map from triangle_signatures, whose
+    signature equals sig, in the map's order. The map's bounds are the only
+    bounds, and a caller matching many multisets computes each signature
+    once; its values may be collapsed with as_set()."""
+    return [mn for mn, other in signatures.items() if other == sig]

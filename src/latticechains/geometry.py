@@ -169,10 +169,6 @@ class ChainPolygon(FrozenSlots):
         """Number of chain edges; 1 for the degenerate 2-gon."""
         return len(self.vertices) - 1
 
-    @property
-    def is_segment(self) -> bool:
-        return len(self.vertices) == 2
-
 
 def hypotenuse(spec: TriangleSpec) -> ChainPolygon:
     """The 2-gon from (0,0) to (i,j)."""
@@ -217,10 +213,10 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     the hypotenuse itself: no area, no interior, u = I_T, exponent 2g + 2.
     """
     spec = poly.spec
-    if poly.is_segment:
+    k = poly.k
+    if k == 1:
         return PolygonStats(k=1, v_count=2, interior=0, boundary=spec.g + 1, area2=0,
                             u=spec.interior_count, exponent_doubled=2 * spec.g + 2)
-    k = poly.k
     area2 = pair_cross_sum(poly.steps)
     edge_gcds = pair_gcd_sum(poly.steps)
     boundary = edge_gcds + spec.g

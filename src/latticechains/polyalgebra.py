@@ -132,11 +132,6 @@ class QHalfPoly(_Poly):
         return f"q^({e}/2)"
 
 
-def q_monomial(doubled_exponent: int) -> QHalfPoly:
-    """q^(doubled_exponent/2), i.e. the single term v^doubled_exponent."""
-    return QHalfPoly.monomial(doubled_exponent)
-
-
 class UnitPoly(_Poly):
     """Polynomial in x, nonnegative exponents only."""
 

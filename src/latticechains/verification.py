@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 from .enumeration import chains_C, chains_D
 from .geometry import Steps, TriangleSpec, pair_cross_sum, pair_gcd_sum
-from .polyalgebra import QHalfPoly, UnitPoly, q_monomial
+from .polyalgebra import QHalfPoly, UnitPoly
 
 # names of verify_all's checks, in the order they run
 CHECK_NAMES = (
@@ -106,14 +106,10 @@ def _unit_form(sig, swap: bool) -> UnitPoly:
     return UnitPoly.fold_terms(sig)
 
 
-def lhs_main_via_D(i: int, n: int) -> QHalfPoly:
-    return _q_form(_term_keys(chains_D(i, n)), 0)
-
-
 def rhs_main(i: int, n: int) -> QHalfPoly:
     if i < 1 or n <= i:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    return q_monomial(i * (n - i) - n + 2)
+    return QHalfPoly.monomial(i * (n - i) - n + 2)
 
 
 def signature(spec: TriangleSpec) -> Counter:
@@ -126,7 +122,7 @@ def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
 
 
 def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
-    return q_monomial(spec.i * spec.j - spec.n + spec.g + 4)
+    return QHalfPoly.monomial(spec.i * spec.j - spec.n + spec.g + 4)
 
 
 def unit_sum(spec: TriangleSpec) -> UnitPoly:

@@ -18,15 +18,16 @@ from latticechains.explorer import (
     match_signature,
     search_unit_multisets,
     triangle_signature,
+    triangle_signatures,
 )
 from latticechains.geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum, polygon_stats
 from latticechains.montecarlo import SimulationConfig, compare, simulate
-from latticechains.polyalgebra import QHalfPoly, UnitPoly, q_monomial
+from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
-    lhs_main_via_D,
     rhs_main,
     unit_sum,
     unit_sum_process,
+    verify_all,
 )
 
 from scan_oracles import u_count
@@ -48,7 +49,7 @@ def test_criterion_1_identity_sweep_to_12():
     for n in range(2, 13):
         for i in range(1, n):
             pairs += 1
-            if lhs_main_via_D(i, n) != rhs_main(i, n):
+            if verify_all(i, n).lhs != rhs_main(i, n):
                 failures.append((i, n))
     elapsed = time.perf_counter() - started
     if elapsed >= 60:
@@ -59,14 +60,14 @@ def test_criterion_1_identity_sweep_to_12():
 def test_criterion_2_hand_values_against_composition_oracle():
     failures = []
     for (i, n), doubled in [((1, 2), 1), ((2, 5), 3), ((3, 7), 7)]:
-        expected = q_monomial(doubled)
-        if lhs_main_via_D(i, n) != expected:
+        expected = QHalfPoly.monomial(doubled)
+        if verify_all(i, n).lhs != expected:
             failures.append((i, n, "package value"))
         # independent recomputation: brute-force compositions, Fraction slopes
         oracle_value = sum(
             (
                 power(Q_MINUS_ONE, len(steps) - 1)
-                * q_monomial(
+                * QHalfPoly.monomial(
                     2 * (1 - len(steps))
                     + pair_cross_sum(steps)
                     + sum(gcd(a, b) for a, b in steps)
@@ -133,7 +134,7 @@ def test_criterion_5_pick_formula_with_scan_oracles():
     for i in range(1, 9):
         for j in range(1, 9):
             for p in enumerate_polygons(TriangleSpec(i, j)):
-                if p.is_segment:
+                if p.k == 1:
                     continue
                 checked += 1
                 s = polygon_stats(p)
@@ -150,7 +151,7 @@ def test_criterion_5_pick_formula_with_scan_oracles():
     randomized = 0
     while randomized < 200:
         poly, _, _ = random_hull(rng)
-        if poly.is_segment:
+        if poly.k == 1:
             continue
         randomized += 1
         s = polygon_stats(poly)
@@ -202,7 +203,7 @@ def test_criterion_8_explorer():
     found = search_unit_multisets(1, 1, 2)
     if found != [Signature(((1, 0), (0, 1)))]:
         failures.append(f"search(1,1,2) -> {found}")
-    if (2, 3) not in match_signature(Signature(((1, 0), (0, 1))), 4, 4):
+    if (2, 3) not in match_signature(Signature(((1, 0), (0, 1))), triangle_signatures(4, 4)):
         failures.append("match does not recover (2,3)")
     report(8, failures, "signature, search, and match all agree")
 

@@ -11,6 +11,7 @@ import pytest
 
 from latticechains.cli import (
     CSV_COLUMNS,
+    FIELDS,
     PolygonRecord,
     main,
     records_for,
@@ -19,8 +20,8 @@ from latticechains.cli import (
     records_to_csv,
     records_to_json,
 )
-from latticechains.geometry import TriangleSpec
-from latticechains.polyalgebra import q_monomial
+from latticechains.geometry import PolygonStats, TriangleSpec
+from latticechains.polyalgebra import QHalfPoly
 
 
 CSV_HEADER_LINE = ",".join(CSV_COLUMNS) + "\n"
@@ -63,7 +64,7 @@ def test_verify_failure_report_is_pinned(capsys, monkeypatch):
     import latticechains.verification as verification
 
     monkeypatch.setattr(
-        verification, "rhs_main", lambda i, n: q_monomial(i * (n - i) - n + 4)
+        verification, "rhs_main", lambda i, n: QHalfPoly.monomial(i * (n - i) - n + 4)
     )
     code, out, _ = run(capsys, "verify", "--i", "2", "--n", "5")
     assert code == 1
@@ -232,6 +233,15 @@ def test_enumerate_csv_schema(capsys):
     assert lines[0] == "k,vCount,iP,bP,area2,u,exponentDoubled,vertices"
     assert len(lines) == 1 + 4
     assert records_from_csv(out) == records_for(TriangleSpec(3, 4))
+
+
+def test_record_keys_pair_with_the_stats_fields_by_name():
+    # the schema reads PolygonStats in field order, so a reordered field
+    # would put its value under another key
+    assert dict(zip(FIELDS, PolygonStats._fields)) == {
+        "k": "k", "vCount": "v_count", "iP": "interior", "bP": "boundary",
+        "area2": "area2", "u": "u", "exponentDoubled": "exponent_doubled"}
+    assert len(FIELDS) == len(PolygonStats._fields)
 
 
 def test_enumerate_single_polygon(capsys):

@@ -14,6 +14,7 @@ from latticechains.explorer import (
     match_signature,
     search_unit_multisets,
     triangle_signature,
+    triangle_signatures,
     unit_sum_of,
 )
 from latticechains.polyalgebra import UnitPoly
@@ -145,19 +146,20 @@ def test_search_argument_validation():
 
 
 def test_match_signature_frozen_cases():
-    matches = match_signature(Signature(((1, 0), (0, 1))), 4, 4)
+    matches = match_signature(Signature(((1, 0), (0, 1))), triangle_signatures(4, 4))
     assert (2, 3) in matches
     assert (3, 2) in matches
-    assert match_signature(Signature(((0, 0),)), 2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert match_signature(Signature(((5, 5),)), 3, 3) == []
+    small = triangle_signatures(2, 2)
+    assert match_signature(Signature(((0, 0),)), small) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert match_signature(Signature(((5, 5),)), triangle_signatures(3, 3)) == []
     with pytest.raises(ValueError):
-        match_signature(Signature(((0, 0),)), 0, 3)
+        triangle_signatures(0, 3)
 
 
 def test_match_signature_round_trip():
     for m, n in [(1, 1), (2, 3), (3, 4), (4, 4), (5, 3)]:
         sig = triangle_signature(m, n)
-        matches = match_signature(sig, 6, 6)
+        matches = match_signature(sig, triangle_signatures(6, 6))
         assert (m, n) in matches
         for mm, nn in matches:
             assert triangle_signature(mm, nn) == sig

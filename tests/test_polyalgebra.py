@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from latticechains.polyalgebra import (
     QHalfPoly,
     UnitPoly,
-    q_monomial,
     term_x_pow_times_one_minus_x_pow,
 )
 
@@ -49,7 +48,7 @@ def test_each_type_folds_with_its_own_step():
 
 def test_q_minus_one_times_sqrt_q():
     # (q - 1) * q^(1/2) = q^(3/2) - q^(1/2), i.e. v^3 - v
-    got = Q_MINUS_ONE * q_monomial(1)
+    got = Q_MINUS_ONE * QHalfPoly.monomial(1)
     assert got == QHalfPoly({3: 1, 1: -1})
 
 
@@ -58,10 +57,10 @@ def test_one_minus_x_squared():
 
 
 def test_q_monomial_examples():
-    assert q_monomial(0) == QHalfPoly.one()
-    assert q_monomial(3).render() == "q^(3/2)"
-    assert q_monomial(-1).render() == "q^(-1/2)"
-    assert q_monomial(-1).items() == [(-1, 1)]
+    assert QHalfPoly.monomial(0) == QHalfPoly.one()
+    assert QHalfPoly.monomial(3).render() == "q^(3/2)"
+    assert QHalfPoly.monomial(-1).render() == "q^(-1/2)"
+    assert QHalfPoly.monomial(-1).items() == [(-1, 1)]
 
 
 def test_term_examples():

@@ -19,11 +19,10 @@ from latticechains.cli import records_for
 from latticechains.explorer import triangle_signatures
 from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
 from latticechains.enumeration import enumerate_D, enumerate_polygons
-from latticechains.polyalgebra import QHalfPoly, UnitPoly, q_monomial
+from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
     CHECK_NAMES,
     d_term_doubled_exponent,
-    lhs_main_via_D,
     lhs_main_via_polygons,
     rhs_main,
     rhs_main_via_polygons,
@@ -57,15 +56,15 @@ def oracle_lhs_coeffs(i, n):
 
 
 def test_lhs_frozen_hand_values():
-    assert lhs_main_via_D(1, 2) == q_monomial(1)
-    assert lhs_main_via_D(2, 5) == q_monomial(3)
-    assert lhs_main_via_D(3, 7) == q_monomial(7)
+    assert verify_all(1, 2).lhs == QHalfPoly.monomial(1)
+    assert verify_all(2, 5).lhs == QHalfPoly.monomial(3)
+    assert verify_all(3, 7).lhs == QHalfPoly.monomial(7)
 
 
 def test_rhs_frozen_values():
-    assert rhs_main(1, 2) == q_monomial(1)
-    assert rhs_main(2, 4) == q_monomial(2)
-    assert rhs_main(3, 7) == q_monomial(7)
+    assert rhs_main(1, 2) == QHalfPoly.monomial(1)
+    assert rhs_main(2, 4) == QHalfPoly.monomial(2)
+    assert rhs_main(3, 7) == QHalfPoly.monomial(7)
     assert rhs_main(2, 4).render() == "q"
 
 
@@ -81,15 +80,15 @@ def test_rhs_rejects_bad_ranges():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_lhs_matches_binomial_oracle(n):
     for i in range(1, n):
-        got = dict(lhs_main_via_D(i, n).items())
+        got = dict(verify_all(i, n).lhs.items())
         assert got == oracle_lhs_coeffs(i, n)
 
 
 def test_polygon_form_frozen_values():
-    assert lhs_main_via_polygons(TriangleSpec(1, 1)) == q_monomial(4)
-    assert lhs_main_via_polygons(TriangleSpec(2, 3)) == q_monomial(6)
-    assert lhs_main_via_polygons(TriangleSpec(3, 4)) == q_monomial(10)
-    assert rhs_main_via_polygons(TriangleSpec(3, 4)) == q_monomial(10)
+    assert lhs_main_via_polygons(TriangleSpec(1, 1)) == QHalfPoly.monomial(4)
+    assert lhs_main_via_polygons(TriangleSpec(2, 3)) == QHalfPoly.monomial(6)
+    assert lhs_main_via_polygons(TriangleSpec(3, 4)) == QHalfPoly.monomial(10)
+    assert rhs_main_via_polygons(TriangleSpec(3, 4)) == QHalfPoly.monomial(10)
 
 
 @pytest.mark.parametrize("i", range(1, 8))
@@ -100,12 +99,12 @@ def test_polygon_form_matches_pick_free_term_sum(i, j):
     spec = TriangleSpec(i, j)
     total = QHalfPoly()
     for p in enumerate_polygons(spec):
-        if p.is_segment:
+        if p.k == 1:
             interior, boundary = 0, segment_lattice_count((0, 0), (i, j))
         else:
             verts = list(p.vertices)
             interior, boundary = oracle_interior_scan(verts), oracle_boundary_scan(verts)
-        total = total + power(Q_MINUS_ONE, p.k - 1) * q_monomial(
+        total = total + power(Q_MINUS_ONE, p.k - 1) * QHalfPoly.monomial(
             2 * (interior + boundary - (p.k - 1)))
     assert lhs_main_via_polygons(spec) == total
 
@@ -175,14 +174,14 @@ def test_form_consistency_factor():
     for i, n in [(1, 2), (2, 5), (3, 7), (4, 10), (5, 11)]:
         spec = TriangleSpec(i, n - i)
         g = gcd(spec.i, spec.j)
-        assert lhs_main_via_polygons(spec) == lhs_main_via_D(i, n) * q_monomial(2 + g)
+        assert lhs_main_via_polygons(spec) == verify_all(i, n).lhs * QHalfPoly.monomial(2 + g)
 
 
 def test_violation_is_reported_not_raised(monkeypatch):
     import latticechains.verification as verification
 
     monkeypatch.setattr(
-        verification, "rhs_main", lambda i, n: q_monomial(i * (n - i) - n + 4)
+        verification, "rhs_main", lambda i, n: QHalfPoly.monomial(i * (n - i) - n + 4)
     )
     report = verification.verify_all(2, 5)
     assert report.failed_check == "d_form"
