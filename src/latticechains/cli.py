@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, PolygonStats, TriangleSpec, polygon_stats, triangle_interior_points
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
-from .explorer import SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
+from .explorer import _NODE_CAP, SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all
 
 # The record schema: each JSON key and CSV column, in CSV column order, which
@@ -376,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--max-size", type=positive_int, required=True)
     p_explore.add_argument("--max-m", type=positive_int, default=8)
     p_explore.add_argument("--max-n", type=positive_int, default=8)
-    p_explore.add_argument("--node-cap", type=positive_int, default=200_000,
-                           help="most (a, b) pairs the search may place; "
-                                "hitting it exits 2 (default 200000)")
+    p_explore.add_argument("--node-cap", type=positive_int, default=_NODE_CAP,
+                           help="most units of coefficient work, b + 1 per (a, b) pair "
+                                "placed or folded; hitting it exits 2 (default %(default)s)")
     p_explore.add_argument("--collapse-sets", action="store_true",
                            help="compare signatures with multiplicities dropped")
     p_explore.set_defaults(func=cmd_explore)

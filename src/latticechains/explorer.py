@@ -21,18 +21,18 @@ required in every searched multiset, and it has a = 0).
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from itertools import accumulate
 from operator import add
 
 from .geometry import FrozenSlots, TriangleSpec
 from .polyalgebra import UnitPoly
 from .verification import signature
 
-Pair = tuple[int, int]
+_NODE_CAP = 1_000_000  # units of coefficient work; (7,7,11) needs 567,704
 
 
 class SearchCapExceeded(Exception):
-    """The search placed more pairs than its node cap before finishing."""
+    """The search did more coefficient work than its node cap before finishing."""
 
 
 class Signature(FrozenSlots):
@@ -74,11 +74,12 @@ def is_unit_multiset(sig: Signature) -> bool:
 
 
 def search_unit_multisets(max_a: int, max_b: int, max_size: int,
-                          node_cap: int = 200_000) -> list:
+                          node_cap: int = _NODE_CAP) -> list:
     """Every multiset of pairs (a <= max_a, b <= max_b, size <= max_size)
     that contains (0,1) and sums to 1, sorted by (size, pairs). Exhaustive
     within bounds; raises SearchCapExceeded rather than returning a
-    truncated list once more than node_cap pairs have been placed.
+    truncated list once its work passes node_cap units: b + 1, the length
+    of a pair's row of coefficients, per pair placed and per pair folded.
 
     The search peels the coefficients of x^t one level t at a time. The
     coefficient of x^t in the sum is
@@ -104,7 +105,14 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
 
     rows = {}
     found = []
-    visited = 0
+    work = 0
+
+    def spend(units: int):
+        nonlocal work
+        work += units
+        if work > node_cap:
+            raise SearchCapExceeded(f"did more than {node_cap} units of coefficient work "
+                                    f"within bounds ({max_a},{max_b},{max_size})")
 
     # An entry (pairs, a, left, low, has_b0, coeffs) is a branch whose
     # level a still needs `left` pairs, each with b >= low; coeffs[j] is the
@@ -117,6 +125,7 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
             if c:
                 break
         else:
+            spend(sum(b + 1 for _, b in pairs))
             sig = Signature(pairs)
             if is_unit_multiset(sig):
                 found.append(sig)
@@ -127,7 +136,6 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
 
     def placements(pairs: tuple, a: int, left: int, low: int, has_b0: bool, coeffs: tuple):
         """The entries one pair (a, b) further on, b in increasing order."""
-        nonlocal visited
         for b in range(1 if has_b0 and low == 0 else low, max_b + 1):
             # this pair and each later one at level a lower the x^(a+1)
             # coefficient by at least b; every unit it ends below 0 is one
@@ -135,15 +143,11 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
             short = b * left - coeffs[1]
             if short > 0 and (a == max_a or len(pairs) + left + short > max_size):
                 return
-            visited += 1
-            if visited > node_cap:
-                raise SearchCapExceeded(
-                    f"placed more than {node_cap} pairs within bounds "
-                    f"({max_a},{max_b},{max_size})"
-                )
+            spend(b + 1)
             if b not in rows:
-                # rows[b][j] is the coefficient of x^(a+j) in x^a * (1-x)^b
-                rows[b] = tuple((-1) ** j * comb(b, j) for j in range(b + 1))
+                # rows[b][j] is the coefficient of x^(a+j) in x^a * (1-x)^b, each from the last
+                rows[b] = tuple(accumulate(range(b), lambda c, j: -c * (b - j) // (j + 1),
+                                           initial=1))
             row = rows[b]
             pad = (0,) * (len(row) - len(coeffs))
             after = tuple(map(add, coeffs + pad, row)) + coeffs[len(row):]

@@ -170,11 +170,6 @@ class ChainPolygon(FrozenSlots):
         return len(self.vertices) - 1
 
 
-def hypotenuse(spec: TriangleSpec) -> ChainPolygon:
-    """The 2-gon from (0,0) to (i,j)."""
-    return ChainPolygon(((0, 0), (spec.i, spec.j)), spec)
-
-
 def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
     """All lattice points strictly inside the triangle, in lexicographic
     (x, y) order."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import latticechains
 from latticechains.cli import (
     CSV_COLUMNS,
     FIELDS,
@@ -98,7 +99,9 @@ def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
     assert out == WRONG_D_WALK_REPORT
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the directory holding the package this suite imported: src/ in a checkout,
+# site-packages after an install, so the subprocesses run that same package
+SRC = str(Path(latticechains.__file__).resolve().parents[1])
 
 
 def cli_env(unbuffered=False):
@@ -419,6 +422,16 @@ def test_explore_cap_reports_and_exits_two(capsys):
     assert "search cap hit" in err
 
 
+def test_explore_refuses_a_huge_search_in_bounded_time():
+    # each pair costs b + 1 units of the cap, so with b up to 3000 the
+    # default cap ends the search in about a second
+    proc = subprocess.run([sys.executable, "-m", "latticechains", "explore", "--max-a", "3000",
+                           "--max-b", "3000", "--max-size", "3000"],
+                          capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert_refused_in_one_line(proc)
+    assert "search cap hit" in proc.stderr
+
+
 def test_explore_out_of_memory_exits_two(capsys, monkeypatch):
     # a search too large for the memory it may use is refused, not a traceback
     # with exit 1, which means a failed mathematical check
@@ -494,12 +507,11 @@ def test_enumerate_golden_output(capsys, fmt):
 
 
 def test_importing_the_cli_leaves_out_the_process_pool():
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, latticechains.cli; "
          "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

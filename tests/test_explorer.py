@@ -107,9 +107,9 @@ def test_search_reaches_5_4_8_under_the_default_cap():
     got = search_unit_multisets(5, 4, 8)
     assert len(got) == 154
     assert got == mirror_peel_search(5, 4, 8)
-    # the single b = 0 rule and the lookahead keep it to 680 pairs placed;
-    # without the rule it places 1,177
-    assert search_unit_multisets(5, 4, 8, node_cap=1_000) == got
+    # the single b = 0 rule and the lookahead keep it to 4,670 units of
+    # coefficient work; without the rule it does 5,940
+    assert search_unit_multisets(5, 4, 8, node_cap=5_000) == got
 
 
 def test_huge_max_a_costs_nothing():
@@ -118,9 +118,10 @@ def test_huge_max_a_costs_nothing():
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # with b <= 1 the only unit multisets are the telescoping runs
-    # (0,1), (1,1), ..., (k,1), (k+1,0), one per size
+    # (0,1), (1,1), ..., (k,1), (k+1,0), one per size; folding them all
+    # costs about size**2 units of work, past the default cap
     size = sys.getrecursionlimit() + 100
-    got = search_unit_multisets(size, 1, size)
+    got = search_unit_multisets(size, 1, size, node_cap=2 * size**2)
     assert len(got) == size - 1
     assert got[-1] == Signature(tuple((t, 1) for t in range(size - 1)) + ((size - 1, 0),))
 

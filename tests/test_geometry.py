@@ -11,7 +11,6 @@ from latticechains.geometry import (
     ChainPolygon,
     TriangleSpec,
     convex_hull_chain,
-    hypotenuse,
     polygon_stats,
     triangle_interior_points,
 )
@@ -156,20 +155,20 @@ def test_segment_lattice_count_matches_scan(ax, ay, bx, by):
 
 
 def test_doubled_area_examples():
-    assert polygon_stats(hypotenuse(TriangleSpec(2, 3))).area2 == 0
+    assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (2, 3))).area2 == 0
     assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3))).area2 == 1
     assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))).area2 == 5
 
 
 def test_boundary_count_examples():
-    assert polygon_stats(hypotenuse(TriangleSpec(2, 3))).boundary == 2
+    assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (2, 3))).boundary == 2
     assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 2), (3, 4))).boundary == 4
     assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))).boundary == 3
 
 
 def test_interior_count_examples():
     for count in (interior_count, lambda p: polygon_stats(p).interior):
-        assert count(hypotenuse(TriangleSpec(5, 7))) == 0
+        assert count(chain(TriangleSpec(5, 7), (0, 0), (5, 7))) == 0
         assert count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 2
         assert count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 0
 
@@ -194,13 +193,13 @@ def test_triangle_interior_points_match_scan(i, j):
 
 def test_u_count_examples():
     for count in (u_count, lambda p: polygon_stats(p).u):
-        assert count(hypotenuse(TriangleSpec(2, 3))) == 1
+        assert count(chain(TriangleSpec(2, 3), (0, 0), (2, 3))) == 1
         assert count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 0
         assert count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 2
 
 
 def test_convex_hull_chain_examples():
-    assert convex_hull_chain([], TriangleSpec(2, 3)) == hypotenuse(TriangleSpec(2, 3))
+    assert convex_hull_chain([], TriangleSpec(2, 3)) == chain(TriangleSpec(2, 3), (0, 0), (2, 3))
     assert convex_hull_chain([(1, 1)], TriangleSpec(2, 3)) == chain(
         TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3)
     )
@@ -225,7 +224,7 @@ def test_pick_check_examples():
 
 def test_pick_check_rejects_degenerate():
     with pytest.raises(ValueError):
-        pick_check(hypotenuse(TriangleSpec(4, 6)))
+        pick_check(chain(TriangleSpec(4, 6), (0, 0), (4, 6)))
     with pytest.raises(ValueError):
         pick_check([(0, 0), (2, 2), (4, 4)])
 

@@ -13,7 +13,6 @@ from latticechains.geometry import (
     ChainPolygon,
     TriangleSpec,
     convex_hull_chain,
-    hypotenuse,
     triangle_interior_points,
 )
 from latticechains import montecarlo
@@ -53,18 +52,18 @@ def test_config_validation():
 
 def test_exact_prob_frozen_values():
     s23 = TriangleSpec(2, 3)
-    assert exact_prob(hypotenuse(s23), Fraction(1, 2)) == Fraction(1, 2)
+    assert exact_prob(chain(s23), Fraction(1, 2)) == Fraction(1, 2)
     assert exact_prob(chain(s23, (1, 1)), Fraction(1, 2)) == Fraction(1, 2)
 
     s34 = TriangleSpec(3, 4)
     assert exact_prob(chain(s34, (2, 1)), Fraction(1, 3)) == Fraction(1, 3)
-    assert exact_prob(hypotenuse(s34), Fraction(1, 3)) == Fraction(8, 27)
+    assert exact_prob(chain(s34), Fraction(1, 3)) == Fraction(8, 27)
     assert exact_prob(chain(s34, (1, 1)), Fraction(1, 3)) == Fraction(4, 27)
     assert exact_prob(chain(s34, (2, 2)), Fraction(1, 3)) == Fraction(6, 27)
 
 
 def test_exact_prob_rejects_boundary_x():
-    p = hypotenuse(TriangleSpec(2, 3))
+    p = chain(TriangleSpec(2, 3))
     with pytest.raises(ValueError):
         exact_prob(p, 0)
     with pytest.raises(ValueError):
@@ -83,7 +82,7 @@ def test_probabilities_sum_to_one_exactly(x):
 def test_trivial_triangle_always_yields_hypotenuse():
     spec = TriangleSpec(1, 1)
     table = simulate(SimulationConfig(spec, Fraction(1, 2), 100, 7))
-    assert table.counts == {hypotenuse(spec): 100}
+    assert table.counts == {chain(spec): 100}
     assert table.total == 100
 
 
@@ -226,7 +225,7 @@ def test_masks_that_differ_above_their_column_minima_share_one_row():
     assert _hull_counts(tally, spec) == {
         chain(spec, (1, 2)): 15,
         chain(spec, (1, 4)): 16,
-        hypotenuse(spec): 32,
+        chain(spec): 32,
     }
 
 
@@ -282,7 +281,7 @@ def test_compare_z_scores_reasonable_at_moderate_scale():
 def test_compare_rejects_foreign_polygon():
     spec = TriangleSpec(3, 4)
     cfg = SimulationConfig(spec, Fraction(1, 2), 10, 0)
-    stray = hypotenuse(TriangleSpec(2, 3))
+    stray = chain(TriangleSpec(2, 3))
     with pytest.raises(ValueError):
         compare(FrequencyTable({stray: 10}), cfg)
 
@@ -291,7 +290,7 @@ def test_compare_rejects_wrong_trial_total():
     spec = TriangleSpec(1, 1)
     cfg = SimulationConfig(spec, Fraction(1, 2), 10, 0)
     with pytest.raises(ValueError):
-        compare(FrequencyTable({hypotenuse(spec): 9}), cfg)
+        compare(FrequencyTable({chain(spec): 9}), cfg)
 
 
 # ---------------------------------------------------------------------------
