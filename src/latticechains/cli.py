@@ -25,7 +25,7 @@ from .enumeration import enumerate_polygons
 from .geometry import ChainPolygon, PolygonStats, TriangleSpec, polygon_stats, triangle_interior_points
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import _NODE_CAP, SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
-from .verification import verify_all
+from .verification import verify_all, verify_up_to
 
 # The record schema: each JSON key and CSV column, in CSV column order, which
 # is PolygonStats' field order: the key at each place holds the field at that
@@ -168,19 +168,23 @@ def cmd_verify(args) -> int:
             return refuse("--all-up-to cannot be combined with --i/--n")
         if args.all_up_to < 2:
             return refuse(f"--all-up-to needs N >= 2, got {args.all_up_to}")
-        pairs = [(i, n) for n in range(2, args.all_up_to + 1) for i in range(1, n)]
+        try:  # both walks run here, holding every pair's histograms
+            reports = verify_up_to(args.all_up_to)
+        except MemoryError:
+            return refuse("sweep ran out of memory; lower --all-up-to")
     else:
         if args.i is None or args.n is None:
             return refuse("need either --i and --n, or --all-up-to")
         if not 1 <= args.i < args.n:
             return refuse(f"need 1 <= i < n, got i={args.i}, n={args.n}")
-        pairs = [(args.i, args.n)]
+        reports = [verify_all(args.i, args.n)]
 
-    failures = 0
-    for i, n in pairs:
-        report = verify_all(i, n)
+    pairs = failures = 0
+    for report in reports:
+        pairs += 1
         verdict = "PASS" if report.all_passed else "FAIL"
-        print(f"i={i} n={n}: lhs = {report.lhs.render()}, rhs = {report.rhs.render()}  {verdict}")
+        print(f"i={report.spec.i} n={report.spec.n}: lhs = {report.lhs.render()}, "
+              f"rhs = {report.rhs.render()}  {verdict}")
         if not report.all_passed:
             failures += 1
             print(f"  first failed check: {report.failed_check}")
@@ -189,8 +193,8 @@ def cmd_verify(args) -> int:
             print("  term ledger (steps, k, doubled exponent):")
             for steps, doubled, k in report.per_term_ledger:
                 print(f"    {steps} k={k} exp2={doubled}")
-    if len(pairs) > 1:
-        print(f"{len(pairs) - failures}/{len(pairs)} pairs pass")
+    if args.all_up_to is not None:
+        print(f"{pairs - failures}/{pairs} pairs pass")
     return 1 if failures else 0
 
 

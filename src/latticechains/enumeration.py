@@ -10,14 +10,15 @@ them is a checkable fact, not a construction):
 
 The shear (a, b) -> (a, b - a) maps D onto C; the tests state it.
 
-Each family has one depth-first walk, chains_D or chains_C, which yields
-bare step tuples, unvalidated, in lexicographic order. The walk visits every
-chain prefix once and closes it with the remainder as its last step; the
-remainder's first coordinate exceeds that of any step that could extend the
-prefix, so the closed chain comes after every extension. The proof path in
-verification reads these walks directly. enumerate_D and enumerate_polygons
-stable-sort the same walk by step count k, so their output is grouped by
-increasing k and lexicographic within a group, and validate each chain once.
+Each family has one targeted depth-first walk, chains_D or chains_C, which
+yields bare step tuples, unvalidated, in lexicographic order. The walk
+visits every chain prefix once and closes it with the remainder as its last
+step; the remainder's first coordinate exceeds that of any step that could
+extend the prefix, so the closed chain comes after every extension. The
+proof of one pair in verification reads these walks directly. enumerate_D
+and enumerate_polygons stable-sort the same walk by step count k, so their
+output is grouped by increasing k and lexicographic within a group, and
+validate each chain once.
 enumerate_D yields the bare step tuples, each after geometry.check_steps on
 its shear; enumerate_polygons yields a ChainPolygon per chain.
 
@@ -31,10 +32,21 @@ necessary, and they are exactly the slope order of the closing step, so
 every prefix the walk visits closes into one chain and no branch yields
 nothing. With the step's first coordinate fixed, each fails for every
 larger second coordinate once it fails, so the inner loop stops there.
+
+A sweep reads each family from one region walk, region_D or region_C,
+instead of one targeted walk per end point. It starts every chain at the
+origin and extends it only by a strictly flatter (D) or strictly steeper
+(C) step, so every node is a whole chain to its own end point, and it
+counts {(key, k): mult} per end point, key = cross + gcdsum over the
+chain's steps. A step (x, y) from the end point (X, Y) adds X * y - x * Y
+to the cross sum and gcd(x, y) to the gcd sum, so each node costs O(1).
+A targeted walk stays the cheaper route to one end point: the region walk
+for a single pair would visit every chain to every smaller end point too.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterator
 
 from .geometry import ChainPolygon, Steps, TriangleSpec, check_steps
@@ -76,6 +88,55 @@ def _walk_c(prefix, rem_x, rem_y):
                 continue
             yield from _walk_c((*prefix, (x, y)), rem_x - x, rem_y - y)
     yield (*prefix, (rem_x, rem_y))
+
+
+def region_D(max_b: int) -> dict:
+    """{(A, B): {(key, k): mult}} for every 1 <= A < B <= max_b: the key
+    histogram of the D family of (A, B), from one walk over the region."""
+    rows = {a: {b: {} for b in range(a + 1, max_b + 1)} for a in range(1, max_b)}
+
+    def walk(A, B, pa, pb, key, k):
+        k += 1
+        room = max_b - B
+        for a in range(1, room):
+            low = a * pb // pa + 1  # the least b with a/b < pa/pb
+            if low > room:
+                break
+            row = rows[A + a]
+            for b in range(low, room + 1):
+                term = (key + A * b - a * B + gcd(a, b), k)
+                counts = row[B + b]
+                counts[term] = counts.get(term, 0) + 1
+                if b // a < room - b:  # some (1, b') is flatter and fits
+                    walk(A + a, B + b, a, b, term[0], k)
+
+    walk(0, 0, 1, 1, 0, 0)
+    return {(a, b): counts for a, row in rows.items() for b, counts in row.items()}
+
+
+def region_C(max_x: int, max_y: int, max_sum: int) -> dict:
+    """{(X, Y): {(key, k): mult}} for every X <= max_x, Y <= max_y with
+    X + Y <= max_sum, both at least 1: the key histogram of the C family of
+    (X, Y), from one walk over the region."""
+    rows = {x: {y: {} for y in range(1, min(max_y, max_sum - x) + 1)} for x in range(1, max_x + 1)}
+
+    def walk(X, Y, px, py, key, k):
+        k += 1
+        for x in range(1, max_x - X + 1):
+            low = x * py // px + 1  # the least y with y/x > py/px
+            high = min(max_y - Y, max_sum - X - Y - x)
+            if low > high:
+                break
+            row = rows[X + x]
+            for y in range(low, high + 1):
+                term = (key + X * y - x * Y + gcd(x, y), k)
+                counts = row[Y + y]
+                counts[term] = counts.get(term, 0) + 1
+                if y // x < high - y:  # necessary for a steeper (1, y') to fit
+                    walk(X + x, Y + y, x, y, term[0], k)
+
+    walk(0, 0, 1, 0, 0, 0)
+    return {(x, y): counts for x, row in rows.items() for y, counts in row.items()}
 
 
 def enumerate_D(i: int, n: int) -> Iterator[Steps]:

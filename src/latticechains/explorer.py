@@ -24,9 +24,10 @@ from collections import Counter
 from itertools import accumulate
 from operator import add
 
+from .enumeration import region_C
 from .geometry import FrozenSlots, TriangleSpec
 from .polyalgebra import UnitPoly
-from .verification import signature
+from .verification import key_signature, signature
 
 _NODE_CAP = 1_000_000  # units of coefficient work; (7,7,11) needs 567,704
 
@@ -174,10 +175,11 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
 
 def triangle_signatures(max_m: int, max_n: int) -> dict:
     """{(m, n): triangle_signature(m, n)} for every triangle within bounds,
-    in row-major (m, n) order."""
+    in row-major (m, n) order, all read from one walk over the box."""
     if max_m < 1 or max_n < 1:
         raise ValueError("triangle bounds must be >= 1")
-    return {(m, n): triangle_signature(m, n)
+    hists = region_C(max_m, max_n, max_m + max_n)
+    return {(m, n): Signature(tuple(key_signature(hists[m, n], TriangleSpec(m, n)).elements()))
             for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
 
 

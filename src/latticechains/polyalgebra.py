@@ -17,6 +17,12 @@ so ``fold_terms`` sums a whole form from its term histogram
 theorem into one shared coefficient dict, and the polynomial is built once.
 ``UnitPoly`` folds y = x, step = 1, ``QHalfPoly`` y = v, step = -2, since
 (q - 1)^(k-1) * q^(d/2) = v^(d + 2k - 2) * (1 - v^-2)^(k-1).
+
+A check only asks whether a form equals its monomial: ``fold_equals``
+answers from the same histogram by evaluating the form, by Horner, at a
+power of two wide enough that equal integers mean equal polynomials
+(Kronecker substitution). ``fold_terms`` still expands a form that is
+printed, and the single-form functions of verification.
 """
 
 from __future__ import annotations
@@ -59,6 +65,44 @@ class _Poly:
                 e = shift + cls._step * t
                 coeffs[e] = coeffs.get(e, 0) + (-mult if t & 1 else mult) * comb(power, t)
         return cls(coeffs)
+
+    @classmethod
+    def fold_equals(cls, histogram, target) -> bool:
+        """fold_terms(histogram) == target, for a monomial target c * y^e and
+        a histogram of positive multiplicities and powers >= 0, without
+        expanding any term.
+
+        With z = y^step, each term is mult * z^a * (1 - z)^b, a >= 0 counted
+        from the extreme shift. Level b packs into P_b = sum of
+        mult * 2^(W*a), and Horner runs r = r - (r << W) + P_b from the top
+        level down: the fold at z = 2^W. Each coefficient of fold - target is
+        at most sum(mult) * 2^b + |c| < 2^(W-1) in size, so equal integers
+        mean equal polynomials. Positive multiplicities make the early
+        refusals exact: a term a parity apart (q) leaves a nonzero part off
+        the target's exponents, and a target past the extreme shift misses
+        the fold's nonzero coefficient there. A negative power, outside the
+        domain, is refused rather than packed at a wrong level.
+        """
+        [(e, c)] = target._coeffs.items()
+        if not histogram:
+            return False
+        step = cls._step
+        base = (min(histogram) if step > 0 else max(histogram))[0]
+        t, off = divmod(e - base, step)
+        if off or t < 0:
+            return False
+        top = max(power for _, power in histogram)
+        width = (sum(histogram.values()) + abs(c)).bit_length() + top + 2
+        levels = [0] * (top + 1)
+        for (shift, power), mult in histogram.items():
+            a, off = divmod(shift - base, step)
+            if off or power < 0:
+                return False
+            levels[power] += mult << (width * a)
+        r = 0
+        for packed in reversed(levels):
+            r = r - (r << width) + packed
+        return r == c << (width * t)
 
     def items(self):
         """(exponent, coefficient) pairs in decreasing exponent order."""

@@ -16,13 +16,19 @@ Form 3 (unit sums): over the same polygons,
 All comparisons are exact polynomial equalities. Half-integer q-exponents
 are carried as doubled integers, so every coefficient stays an int.
 
-Every form is one shift of a key histogram {(key, k): mult}, counted once
-per family straight off the unsorted walk chains_D or chains_C, where
-key = cross + gcdsum over a chain's bare steps; fold_terms expands each
-distinct key once, times its multiplicity. Both sums survive the shear
-(a, b) -> (a, b - a) from D to C, and on a C chain they are its polygon's
-area2 and edge-gcd sum G. With q = v^2, a D term is
-v^key * (1 - v^-2)^(k-1). By Pick, 2(i(P) + b(P)) = key + g + 2
+Every form is one shift of a key histogram {(key, k): mult}, where
+key = cross + gcdsum over a chain's bare steps. verify_all counts one pair's
+two histograms straight off the unsorted targeted walks chains_D and
+chains_C; verify_up_to counts every pair's from one region walk per family,
+region_D and region_C, and holds them all before its first report. Both
+routes give the same histograms to check_histograms, which holds the five
+checks. Each check compares a form with its monomial by fold_equals, one
+packed Horner evaluation per form, and fold_terms expands a form only to
+print a failing lhs and in the public single-form functions.
+
+Both sums survive the shear (a, b) -> (a, b - a) from D to C, and on a C
+chain they are its polygon's area2 and edge-gcd sum G. With q = v^2, a D
+term is v^key * (1 - v^-2)^(k-1). By Pick, 2(i(P) + b(P)) = key + g + 2
 (g = gcd(i,j)), the 2-gon included: the polygon form is the C histogram
 shifted by g + 2. The unit sums fold the signature, where
 u(P) = I_T - (key - g)/2 (I_T the triangle's interior count) and
@@ -33,7 +39,8 @@ equal. That states the bijection itself; equal folds would not, as the
 fold has a kernel, v^s(1-v^-2)^p = v^s(1-v^-2)^(p+1) + v^(s-2)(1-v^-2)^p.
 No chain polygon is built on this path, and check_steps runs on no
 chain: the walks' step conditions are the chain rule. A failed report's
-per-term ledger lists the walk chains_D as the checks read it, unvalidated.
+per-term ledger lists the targeted walk chains_D, unvalidated: the walk
+verify_all's checks read, but not the region walk a sweep's checks read.
 """
 
 from __future__ import annotations
@@ -41,11 +48,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .enumeration import chains_C, chains_D
+from .enumeration import chains_C, chains_D, region_C, region_D
 from .geometry import Steps, TriangleSpec, pair_cross_sum, pair_gcd_sum
 from .polyalgebra import QHalfPoly, UnitPoly
 
-# names of verify_all's checks, in the order they run
+# names of check_histograms' checks, in the order they run
 CHECK_NAMES = (
     "d_form",
     "polygon_form",
@@ -74,7 +81,9 @@ class IdentityReport(NamedTuple):
     def per_term_ledger(self) -> tuple:
         """(steps, doubled exponent, k) per D term, grouped by increasing k;
         the walk chains_D runs again on each access and no chain is
-        validated, so a wrong walk is listed as the checks read it."""
+        validated, so verify_all's wrong walk is listed as the checks read
+        it. A report from verify_up_to lists chains_D too, not the region
+        walk's histogram that its checks read."""
         return tuple((steps, d_term_doubled_exponent(steps), len(steps))
                      for steps in sorted(chains_D(self.spec.i, self.spec.n), key=len))
 
@@ -88,22 +97,20 @@ def _term_keys(chains) -> Counter:
     return Counter((pair_cross_sum(s) + pair_gcd_sum(s), len(s)) for s in chains)
 
 
-def _q_form(keys, shift: int) -> QHalfPoly:
-    """Sum of v^(key + shift) * (1 - v^-2)^(k-1) over the key histogram."""
-    return QHalfPoly.fold_terms({(key + shift, k - 1): mult for (key, k), mult in keys.items()})
+def _q_terms(keys, shift: int) -> dict:
+    """The fold terms of v^(key + shift) * (1 - v^-2)^(k-1) over the key histogram."""
+    return {(key + shift, k - 1): mult for (key, k), mult in keys.items()}
 
 
-def _signature(keys, spec: TriangleSpec) -> Counter:
+def key_signature(keys, spec: TriangleSpec) -> Counter:
     """{(u(P), v(P)-2): mult} from the C family's key histogram."""
     return Counter({(spec.interior_count - (key - spec.g) // 2, k - 1): mult
                     for (key, k), mult in keys.items()})
 
 
-def _unit_form(sig, swap: bool) -> UnitPoly:
-    """Sum of x^u * (1-x)^(v-2) over the signature, or of (1-x)^u * x^(v-2) if swap."""
-    if swap:
-        sig = {(b, a): mult for (a, b), mult in sig.items()}
-    return UnitPoly.fold_terms(sig)
+def _swapped(sig) -> dict:
+    """The terms of (1-x)^u * x^(v-2) over the signature."""
+    return {(b, a): mult for (a, b), mult in sig.items()}
 
 
 def rhs_main(i: int, n: int) -> QHalfPoly:
@@ -114,11 +121,11 @@ def rhs_main(i: int, n: int) -> QHalfPoly:
 
 def signature(spec: TriangleSpec) -> Counter:
     """{(u(P), v(P)-2): mult} over the polygon family of the triangle."""
-    return _signature(_term_keys(chains_C(spec.i, spec.j)), spec)
+    return key_signature(_term_keys(chains_C(spec.i, spec.j)), spec)
 
 
 def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
-    return _q_form(_term_keys(chains_C(spec.i, spec.j)), spec.g + 2)
+    return QHalfPoly.fold_terms(_q_terms(_term_keys(chains_C(spec.i, spec.j)), spec.g + 2))
 
 
 def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
@@ -127,32 +134,48 @@ def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
 
 def unit_sum(spec: TriangleSpec) -> UnitPoly:
     """Sum of x^u(P) * (1-x)^(v(P)-2) over the polygon family."""
-    return _unit_form(signature(spec), swap=False)
+    return UnitPoly.fold_terms(signature(spec))
 
 
 def unit_sum_process(spec: TriangleSpec) -> UnitPoly:
     """Same family, factors swapped: sum of (1-x)^u(P) * x^(v(P)-2)."""
-    return _unit_form(signature(spec), swap=True)
+    return UnitPoly.fold_terms(_swapped(signature(spec)))
 
 
-def verify_all(i: int, n: int) -> IdentityReport:
-    """Run all five identity checks; a violation is reported, never raised.
-
-    Each family is enumerated once, into its key histogram, and each form
-    is folded from one shift of it.
+def check_histograms(i: int, n: int, d_keys, c_keys) -> IdentityReport:
+    """Run all five identity checks on the key histograms of the D family of
+    (i, n) and the C family of its triangle; a violation is reported, never
+    raised. Each form is one shift of a histogram, compared with its
+    monomial by fold_equals; only a failing lhs is expanded, to be printed.
     """
     rhs = rhs_main(i, n)  # refuses a bad (i, n) first
     spec = TriangleSpec(i, n - i)
-    d_keys = _term_keys(chains_D(i, n))
-    lhs = _q_form(d_keys, 0)
-    c_keys = _term_keys(chains_C(spec.i, spec.j))
-    poly_lhs = _q_form(c_keys, spec.g + 2)
-    sig = _signature(c_keys, spec)
+    d_terms = _q_terms(d_keys, 0)
+    sig = key_signature(c_keys, spec)
     checks = tuple(zip(CHECK_NAMES, (
-        lhs == rhs,
-        poly_lhs == rhs_main_via_polygons(spec),
-        _unit_form(sig, swap=False) == UnitPoly.one(),
-        _unit_form(sig, swap=True) == UnitPoly.one(),
+        QHalfPoly.fold_equals(d_terms, rhs),
+        QHalfPoly.fold_equals(_q_terms(c_keys, spec.g + 2), rhs_main_via_polygons(spec)),
+        UnitPoly.fold_equals(sig, UnitPoly.one()),
+        UnitPoly.fold_equals(_swapped(sig), UnitPoly.one()),
         d_keys == c_keys,
     )))
+    lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(d_terms)
     return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks)
+
+
+def verify_all(i: int, n: int) -> IdentityReport:
+    """check_histograms on one pair, each family counted by its targeted walk."""
+    return check_histograms(i, n, _term_keys(chains_D(i, n)), _term_keys(chains_C(i, n - i)))
+
+
+def verify_up_to(max_n: int):
+    """The reports of every pair 1 <= i < n <= max_n, ordered by n, then i.
+
+    Each family is counted by one region walk over the whole sweep, and
+    both walks finish, holding every pair's histograms, before the first
+    report is checked.
+    """
+    d_hists = region_D(max_n)
+    c_hists = region_C(max_n - 1, max_n - 1, max_n)
+    return (check_histograms(i, n, d_hists[i, n], c_hists[i, n - i])
+            for n in range(2, max_n + 1) for i in range(1, n))

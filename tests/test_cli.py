@@ -39,12 +39,33 @@ def test_verify_single_pair(capsys):
     assert code == 0
     assert "q^(3/2)" in out
     assert "PASS" in out
+    assert "pairs pass" not in out
 
 
 def test_verify_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--all-up-to", "8")
     assert code == 0
     assert "28/28 pairs pass" in out
+
+
+def test_a_sweep_of_one_pair_ends_on_its_summary(capsys):
+    assert run(capsys, "verify", "--all-up-to", "2") == (
+        0, "i=1 n=2: lhs = q^(1/2), rhs = q^(1/2)  PASS\n1/1 pairs pass\n", "")
+    assert run(capsys, "verify", "--i", "1", "--n", "2") == (
+        0, "i=1 n=2: lhs = q^(1/2), rhs = q^(1/2)  PASS\n", "")
+
+
+def test_a_sweep_out_of_memory_exits_two(capsys, monkeypatch):
+    # the sweep holds every pair's histograms before its first line, so a
+    # sweep too large for memory is refused with nothing printed
+    import latticechains.cli as cli
+
+    def exhausted(max_n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_up_to", exhausted)
+    assert run(capsys, "verify", "--all-up-to", "100000") == (
+        2, "", "sweep ran out of memory; lower --all-up-to\n")
 
 
 VERIFY_FAILURE_REPORT = """\
@@ -85,6 +106,24 @@ i=2 n=5: lhs = q^(3/2), rhs = q^(3/2)  FAIL
     ((1, 3), (1, 2)) k=2 exp2=-1
     ((1, 1), (1, 1), (1, 1)) k=3 exp2=-1
 """
+
+
+def test_a_failing_sweep_prints_each_pair_as_verify_does(capsys, monkeypatch):
+    import latticechains.verification as verification
+
+    monkeypatch.setattr(
+        verification, "rhs_main", lambda i, n: QHalfPoly.monomial(i * (n - i) - n + 4)
+    )
+    blocks = []
+    for n in range(2, 6):
+        for i in range(1, n):
+            code, out, _ = run(capsys, "verify", "--i", str(i), "--n", str(n))
+            assert code == 1
+            blocks.append(out)
+    assert "  first failed check: d_form\n" in blocks[0]
+    code, out, _ = run(capsys, "verify", "--all-up-to", "5")
+    assert code == 1
+    assert out == "".join(blocks) + "0/10 pairs pass\n"
 
 
 def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
@@ -723,11 +762,14 @@ found 3 unit multiset(s)
 """
 
 
-# sha256 of the stdout of each command perfbench runs
+# sha256 of the stdout of each command perfbench runs, and of a longer sweep
 PINNED_STDOUT = {
     "verify-sweep-13": (
         ("verify", "--all-up-to", "13"),
         "789cdefcd9bd86d178e467aca2a30022218a34a886d45fecbb48b7809abe2570"),
+    "verify-sweep-18": (
+        ("verify", "--all-up-to", "18"),
+        "6ea8d9287ff20cf0ce68639c793b33e2d5dfbdd3388a85dec7f31ee367fede7b"),
     "simulate-5-7": (
         ("simulate", "--i", "5", "--j", "7", "--x", "1/3", "--trials", "20000",
          "--seed", "7", "--jobs", "1"),

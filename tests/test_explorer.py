@@ -157,6 +157,13 @@ def test_match_signature_frozen_cases():
         triangle_signatures(0, 3)
 
 
+def test_the_box_walk_gives_each_triangle_its_signature():
+    # one region walk over a non-square box against a targeted walk per
+    # triangle, in row-major order
+    assert list(triangle_signatures(7, 5).items()) == [
+        ((m, n), triangle_signature(m, n)) for m in range(1, 8) for n in range(1, 6)]
+
+
 def test_match_signature_round_trip():
     for m, n in [(1, 1), (2, 3), (3, 4), (4, 4), (5, 3)]:
         sig = triangle_signature(m, n)

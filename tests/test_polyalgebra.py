@@ -170,3 +170,81 @@ def test_unit_fold_matches_term_by_term_sum(histogram):
 def test_empty_fold_is_zero():
     assert QHalfPoly.fold_terms({}) == QHalfPoly()
     assert UnitPoly.fold_terms(Counter()) == UnitPoly()
+
+
+# fold_equals is checked against the expanded fold. Histograms that do fold
+# to a monomial are built from one by the fold's kernel,
+# y^s (1 - y^t)^p = y^s (1 - y^t)^(p+1) + y^(s+t) (1 - y^t)^p, t the step.
+STEPS = {QHalfPoly: -2, UnitPoly: 1}
+classes = st.sampled_from([QHalfPoly, UnitPoly])
+big_mults = st.integers(1, 2**100)
+splits = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2**100)), max_size=40)
+
+
+def split(cls, shift, coeff, moves):
+    """A histogram of positive multiplicities with powers up to 40 that folds
+    to coeff * y^shift: each move sends part of one term through the kernel."""
+    hist = Counter({(shift, 0): coeff})
+    for pick, amount in moves:
+        (s, p), mult = sorted(hist.items())[pick % len(hist)]
+        if p == 40:
+            continue
+        moved = amount % mult + 1
+        hist[s, p] -= moved
+        hist[s, p + 1] += moved
+        hist[s + STEPS[cls], p] += moved
+        hist += Counter()  # drops the term emptied
+    return dict(hist)
+
+
+@SETTINGS
+@given(classes, st.integers(0, 40), big_mults, splits)
+def test_fold_equals_accepts_what_folds_to_the_monomial(cls, e, coeff, moves):
+    histogram = split(cls, e, coeff, moves)
+    target = cls.monomial(e, coeff)
+    assert cls.fold_terms(histogram) == target
+    assert cls.fold_equals(histogram, target)
+
+
+@SETTINGS
+@given(classes, st.booleans(), st.data())
+def test_fold_equals_agrees_with_the_expanded_fold(cls, folded, data):
+    low = -40 if cls is QHalfPoly else 0
+    e, coeff = data.draw(st.integers(low, 40)), data.draw(big_mults)
+    if folded:
+        histogram = split(cls, e, coeff, data.draw(splits))
+    else:
+        histogram = data.draw(st.dictionaries(
+            st.tuples(st.integers(low, 40), st.integers(0, 40)), big_mults, max_size=8))
+    for key, delta in data.draw(st.lists(st.tuples(st.sampled_from(sorted(histogram) or [(0, 0)]),
+                                                   st.integers(-2, 2)), max_size=2)):
+        if key in histogram and histogram[key] + delta > 0:
+            histogram[key] += delta
+    target = cls.monomial(max(low, e + data.draw(st.integers(-2, 2))),
+                          max(1, coeff + data.draw(st.integers(-1, 1))))
+    assert cls.fold_equals(histogram, target) == (cls.fold_terms(histogram) == target)
+
+
+@SETTINGS
+@given(splits)
+def test_a_unit_sum_moved_by_one_is_refused(moves):
+    histogram = split(UnitPoly, 0, 1, moves)
+    assert UnitPoly.fold_equals(histogram, UnitPoly.one())
+    for key in histogram:
+        for delta in (-1, 1):
+            moved = Counter(histogram)
+            moved[key] += delta
+            moved += Counter()
+            assert not UnitPoly.fold_equals(dict(moved), UnitPoly.one()), (key, delta)
+
+
+def test_fold_equals_refusals():
+    # a parity apart, beyond the top shift, the empty fold, a negative power
+    assert not QHalfPoly.fold_equals({(3, 0): 1, (2, 1): 1}, QHalfPoly.monomial(2))
+    assert not QHalfPoly.fold_equals({(2, 0): 1}, QHalfPoly.monomial(3))
+    assert not QHalfPoly.fold_equals({(2, 0): 1}, QHalfPoly.monomial(4))
+    assert not UnitPoly.fold_equals({}, UnitPoly.one())
+    assert not UnitPoly.fold_equals({(0, -1): 1}, UnitPoly.one())
+    assert QHalfPoly.fold_equals({(-3, 0): 2}, QHalfPoly.monomial(-3, 2))
+    with pytest.raises(ValueError):
+        UnitPoly.fold_equals({(0, 0): 1}, UnitPoly({0: 1, 1: 1}))

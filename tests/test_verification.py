@@ -18,10 +18,11 @@ from latticechains import enumeration, geometry
 from latticechains.cli import records_for
 from latticechains.explorer import triangle_signatures
 from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
-from latticechains.enumeration import enumerate_D, enumerate_polygons
+from latticechains.enumeration import chains_C, chains_D, enumerate_D, enumerate_polygons, region_C, region_D
 from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
     CHECK_NAMES,
+    _term_keys,
     d_term_doubled_exponent,
     lhs_main_via_polygons,
     rhs_main,
@@ -30,6 +31,7 @@ from latticechains.verification import (
     unit_sum,
     unit_sum_process,
     verify_all,
+    verify_up_to,
 )
 
 from scan_oracles import segment_lattice_count
@@ -158,6 +160,29 @@ def test_verify_all_passes(n):
         assert report.all_passed
         assert [name for name, _ in report.checks] == list(CHECK_NAMES)
         assert all(ok for _, ok in report.checks)
+
+
+def test_region_walks_equal_the_targeted_walks():
+    # every end point of each region, and no other, holds the key histogram
+    # of its own family
+    d_hists = region_D(16)
+    c_hists = region_C(15, 15, 16)
+    pairs = [(i, n) for n in range(2, 17) for i in range(1, n)]
+    assert sorted(d_hists) == sorted(pairs)
+    assert sorted(c_hists) == sorted((i, n - i) for i, n in pairs)
+    for i, n in pairs:
+        assert d_hists[i, n] == _term_keys(chains_D(i, n)), (i, n)
+        assert c_hists[i, n - i] == _term_keys(chains_C(i, n - i)), (i, n)
+    box = region_C(9, 9, 18)
+    assert sorted(box) == [(m, n) for m in range(1, 10) for n in range(1, 10)]
+    for (m, n), keys in box.items():
+        assert keys == _term_keys(chains_C(m, n)), (m, n)
+
+
+def test_the_sweep_reports_what_verify_all_reports():
+    reports = list(verify_up_to(10))
+    assert [(r.spec.i, r.spec.n) for r in reports] == [(i, n) for n in range(2, 11) for i in range(1, n)]
+    assert reports == [verify_all(r.spec.i, r.spec.n) for r in reports]
 
 
 def test_report_ledger_matches_enumeration():
