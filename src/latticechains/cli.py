@@ -21,8 +21,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import enumerate_polygons
-from .geometry import ChainPolygon, PolygonStats, TriangleSpec, polygon_stats, triangle_interior_points
+from .enumeration import chains_C, enumerate_polygons
+from .geometry import (ChainPolygon, PolygonStats, TriangleSpec, chain_stats, chain_vertices, check_steps,
+                       polygon_stats, triangle_interior_points)
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import _NODE_CAP, SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all, verify_up_to
@@ -70,11 +71,29 @@ def _json_int(value) -> int:
 
 
 def records_for(spec: TriangleSpec) -> list:
-    return [PolygonRecord(p.vertices, polygon_stats(p)) for p in enumerate_polygons(spec)]
+    """The records of enumerate_polygons(spec), in its order, read off the
+    walk: each chain checked once by check_steps, its vertices and stats
+    computed from its steps. No polygon is built; the loaders' validate
+    rebuilds one per record."""
+    records = []
+    for steps in sorted(chains_C(spec.i, spec.j), key=len):
+        check_steps(steps)
+        records.append(PolygonRecord(chain_vertices(steps), chain_stats(steps, spec)))
+    return records
 
 
 def records_to_json(records) -> str:
-    return json.dumps([r.to_json_obj() for r in records], indent=2) + "\n"
+    """json.dumps([r.to_json_obj() for r in records], indent=2) + "\n", byte
+    for byte, for records of int fields with at least one vertex each. It
+    is written by hand since json encodes in pure Python once indent is set."""
+    objects = []
+    for vertices, stats in records:
+        points = ",\n".join([f"      [\n        {x},\n        {y}\n      ]" for x, y in vertices])
+        fields = ",\n".join([f'    "{key}": {value}' for key, value in zip(FIELDS, stats)])
+        objects.append(f'  {{\n    "vertices": [\n{points}\n    ],\n{fields}\n  }}')
+    if not objects:
+        return "[]\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def _load_record(number: int, parse, raw) -> PolygonRecord:
@@ -100,15 +119,16 @@ def records_from_json(text: str) -> list:
 
 
 def records_to_csv(records) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            *r.stats,
-            json.dumps([list(v) for v in r.vertices], separators=(",", ":")),
-        ])
-    return out.getvalue()
+    """What csv.writer(lineterminator="\n") writes for the header and, per
+    record, its stats and the compact JSON of its vertices, for records of
+    int fields with at least one vertex each. No int cell needs quoting, and
+    the vertices cell always holds a comma, so it is always quoted."""
+    rows = [",".join(CSV_COLUMNS)]
+    for vertices, stats in records:
+        points = ",".join([f"[{x},{y}]" for x, y in vertices])
+        rows.append(f'{",".join(map(str, stats))},"[{points}]"')
+    rows.append("")
+    return "\n".join(rows)
 
 
 def records_from_csv(text: str) -> list:

@@ -21,6 +21,8 @@ output is grouped by increasing k and lexicographic within a group, and
 validate each chain once.
 enumerate_D yields the bare step tuples, each after geometry.check_steps on
 its shear; enumerate_polygons yields a ChainPolygon per chain.
+cli.records_for reads the C walk the same way, sorted by k and each chain
+checked once by check_steps, and builds no ChainPolygon.
 
 Slopes are compared by integer cross products throughout. The walk takes a
 step only if it continues the slope order and the remainder can still
@@ -49,7 +51,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator
 
-from .geometry import ChainPolygon, Steps, TriangleSpec, check_steps
+from .geometry import ChainPolygon, Steps, TriangleSpec, chain_vertices, check_steps
 
 
 def chains_D(i: int, n: int) -> Iterator[Steps]:
@@ -153,8 +155,4 @@ def enumerate_polygons(spec: TriangleSpec) -> Iterator[ChainPolygon]:
     """The full polygon family of the triangle (the 2-gon comes first),
     each chain validated once, by ChainPolygon."""
     for steps in sorted(chains_C(spec.i, spec.j), key=len):
-        verts = [(0, 0)]
-        for dx, dy in steps:
-            x, y = verts[-1]
-            verts.append((x + dx, y + dy))
-        yield ChainPolygon(tuple(verts), spec)
+        yield ChainPolygon(chain_vertices(steps), spec)

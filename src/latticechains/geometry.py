@@ -4,8 +4,10 @@ Everything here is integer arithmetic: orientation tests are cross
 products, areas are doubled to stay integral, and lattice counts come
 from gcds and Pick's theorem. No floating point anywhere.
 
-The one chain rule, check_steps, and the one pair of chain sums,
-pair_cross_sum and pair_gcd_sum, are written here over step tuples.
+The one chain rule, check_steps, the one pair of chain sums,
+pair_cross_sum and pair_gcd_sum, the Pick arithmetic on them, chain_stats,
+and the vertices of a chain, chain_vertices, are written here over step
+tuples.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ def pair_cross_sum(steps: Steps) -> int:
 
 def pair_gcd_sum(steps: Steps) -> int:
     return sum(gcd(a, b) for a, b in steps)
+
+
+def chain_vertices(steps: Steps) -> tuple[Point, ...]:
+    """The vertices of the chain with these steps: (0,0) and the partial sums."""
+    x = y = 0
+    vertices = [(0, 0)]
+    for dx, dy in steps:
+        x += dx
+        y += dy
+        vertices.append((x, y))
+    return tuple(vertices)
 
 
 class FrozenSlots:
@@ -164,11 +177,6 @@ class ChainPolygon(FrozenSlots):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "steps", steps)
 
-    @property
-    def k(self) -> int:
-        """Number of chain edges; 1 for the degenerate 2-gon."""
-        return len(self.vertices) - 1
-
 
 def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
     """All lattice points strictly inside the triangle, in lexicographic
@@ -195,8 +203,10 @@ class PolygonStats(NamedTuple):
     exponent_doubled: int
 
 
-def polygon_stats(poly: ChainPolygon) -> PolygonStats:
-    """The invariants in O(k), from the chain sums over the polygon's steps.
+def chain_stats(steps: Steps, spec: TriangleSpec) -> PolygonStats:
+    """The invariants of the chain polygon with these steps in spec's
+    triangle, in O(k), from the chain sums over the steps. The steps are
+    not checked: pass a chain that check_steps accepts, ending at (i, j).
 
     The closing edge (i,j)->(0,0) adds nothing to the shoelace sum, so
     area2 is pair_cross_sum over the steps, and the edge-gcd sum G is
@@ -207,13 +217,12 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
     and (i,j). The exponent is 2 * (i(P) + b(P) - (k - 1)). The 2-gon is
     the hypotenuse itself: no area, no interior, u = I_T, exponent 2g + 2.
     """
-    spec = poly.spec
-    k = poly.k
+    k = len(steps)
     if k == 1:
         return PolygonStats(k=1, v_count=2, interior=0, boundary=spec.g + 1, area2=0,
                             u=spec.interior_count, exponent_doubled=2 * spec.g + 2)
-    area2 = pair_cross_sum(poly.steps)
-    edge_gcds = pair_gcd_sum(poly.steps)
+    area2 = pair_cross_sum(steps)
+    edge_gcds = pair_gcd_sum(steps)
     boundary = edge_gcds + spec.g
     interior = (area2 - boundary + 2) // 2
     return PolygonStats(
@@ -225,6 +234,11 @@ def polygon_stats(poly: ChainPolygon) -> PolygonStats:
         u=spec.interior_count - interior - (edge_gcds - 1),
         exponent_doubled=2 * (interior + boundary - (k - 1)),
     )
+
+
+def polygon_stats(poly: ChainPolygon) -> PolygonStats:
+    """The invariants of a validated chain polygon: chain_stats of its steps."""
+    return chain_stats(poly.steps, poly.spec)
 
 
 def lower_hull(points) -> tuple[Point, ...]:

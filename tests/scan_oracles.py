@@ -29,7 +29,7 @@ def segment_lattice_count(p: Point, r: Point) -> int:
 def interior_count(poly: ChainPolygon) -> int:
     """i(P): lattice points strictly inside, by brute force over the bounding
     box with exact orientation predicates; 0 for the 2-gon."""
-    if poly.k == 1:
+    if len(poly.steps) == 1:
         return 0
     edges = _cycle_edges(poly.vertices)
     count = 0
@@ -45,7 +45,7 @@ def contains_point_closed(poly: ChainPolygon, p: Point) -> bool:
 
     For the 2-gon the closed region is the segment itself.
     """
-    if poly.k == 1:
+    if len(poly.steps) == 1:
         return _on_segment(p, *poly.vertices)
     return all(cross(a, b, p) >= 0 for a, b in _cycle_edges(poly.vertices))
 

@@ -134,7 +134,7 @@ def test_criterion_5_pick_formula_with_scan_oracles():
     for i in range(1, 9):
         for j in range(1, 9):
             for p in enumerate_polygons(TriangleSpec(i, j)):
-                if p.k == 1:
+                if len(p.steps) == 1:
                     continue
                 checked += 1
                 s = polygon_stats(p)
@@ -151,7 +151,7 @@ def test_criterion_5_pick_formula_with_scan_oracles():
     randomized = 0
     while randomized < 200:
         poly, _, _ = random_hull(rng)
-        if poly.k == 1:
+        if len(poly.steps) == 1:
             continue
         randomized += 1
         s = polygon_stats(poly)

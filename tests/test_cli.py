@@ -21,7 +21,8 @@ from latticechains.cli import (
     records_to_csv,
     records_to_json,
 )
-from latticechains.geometry import PolygonStats, TriangleSpec
+from latticechains.enumeration import enumerate_polygons
+from latticechains.geometry import PolygonStats, TriangleSpec, polygon_stats
 from latticechains.polyalgebra import QHalfPoly
 
 
@@ -275,6 +276,15 @@ def test_enumerate_csv_schema(capsys):
     assert lines[0] == "k,vCount,iP,bP,area2,u,exponentDoubled,vertices"
     assert len(lines) == 1 + 4
     assert records_from_csv(out) == records_for(TriangleSpec(3, 4))
+
+
+def test_records_read_off_the_walk_equal_the_polygon_route():
+    # records_for builds no polygon; its stats come from the steps alone
+    for i in range(1, 11):
+        for j in range(1, 11):
+            spec = TriangleSpec(i, j)
+            assert records_for(spec) == [PolygonRecord(p.vertices, polygon_stats(p))
+                                         for p in enumerate_polygons(spec)]
 
 
 def test_record_keys_pair_with_the_stats_fields_by_name():

@@ -1,6 +1,7 @@
-"""Property tests for what the CLI reads from outside: record files and
-command-line values. Every input is either accepted or refused with a
-ValueError; none may escape as another exception."""
+"""Property tests for what the CLI reads from outside, record files and
+command-line values, and for the record files it writes. Every input is
+either accepted or refused with a ValueError; none may escape as another
+exception. Each writer gives its standard-library oracle's bytes."""
 
 import argparse
 import csv
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from latticechains.cli import (
     CSV_COLUMNS,
+    PolygonRecord,
     nonnegative_int,
     positive_int,
     records_for,
@@ -24,7 +26,8 @@ from latticechains.cli import (
     unit_fraction,
     z_threshold,
 )
-from latticechains.geometry import TriangleSpec
+from latticechains.geometry import PolygonStats, TriangleSpec
+from writer_oracles import csv_oracle, json_oracle
 
 # derandomized so the suite runs the same examples every time
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
@@ -41,6 +44,18 @@ JSON_VALUES = st.recursive(
     | st.floats(allow_nan=True, allow_infinity=True),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=6,
+)
+
+
+# negative, small, and past 2^64, where no fixed-width integer reaches
+INTEGERS = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
+RECORD_LISTS = st.lists(
+    st.builds(
+        PolygonRecord,
+        st.lists(st.tuples(INTEGERS, INTEGERS), min_size=1, max_size=8).map(tuple),
+        st.lists(INTEGERS, min_size=7, max_size=7).map(lambda values: PolygonStats(*values)),
+    ),
+    max_size=5,
 )
 
 
@@ -66,6 +81,18 @@ def refuses_naming(load, text: str, number: int) -> bool:
     except ValueError as exc:
         return str(exc).startswith(f"record {number}: ")
     return False
+
+
+@SETTINGS
+@given(RECORD_LISTS)
+def test_json_writer_writes_what_json_dumps_writes(records):
+    assert records_to_json(records) == json_oracle(records)
+
+
+@SETTINGS
+@given(RECORD_LISTS)
+def test_csv_writer_writes_what_csv_writer_writes(records):
+    assert records_to_csv(records) == csv_oracle(records)
 
 
 @SETTINGS

@@ -218,7 +218,7 @@ def test_composition_polygon_round_trip():
     assert p.steps == ((1, 1), (2, 3))
     assert partial_sums(p.steps) == p.vertices
     two_gon = next(enumerate_polygons(spec))
-    assert two_gon.k == 1 and two_gon.steps == ((3, 4),)
+    assert len(two_gon.steps) == 1 and two_gon.steps == ((3, 4),)
 
 
 def test_enumerate_polygons_counts():

@@ -286,7 +286,7 @@ def stats_mismatches(poly):
     """Fields of polygon_stats(poly) that disagree with the scan oracles."""
     s = polygon_stats(poly)
     verts = list(poly.vertices)
-    if poly.k == 1:
+    if len(poly.steps) == 1:
         expected = {"interior": 0, "boundary": oracle_segment_points(*verts), "area2": 0}
     else:
         expected = {
@@ -304,7 +304,7 @@ def test_counts_match_scan_oracles_on_random_hulls():
     for _ in range(200):
         poly, _, _ = random_hull(rng)
         assert stats_mismatches(poly) == [], poly
-        seen_nondegenerate += poly.k != 1
+        seen_nondegenerate += len(poly.steps) != 1
     assert seen_nondegenerate > 100
 
 
@@ -323,7 +323,7 @@ def test_pick_theorem_on_random_hulls():
     checked = 0
     for _ in range(200):
         poly, _, _ = random_hull(rng)
-        if poly.k == 1:
+        if len(poly.steps) == 1:
             continue
         s = polygon_stats(poly)
         assert s.area2 == 2 * interior_count(poly) + s.boundary - 2
@@ -338,7 +338,7 @@ def test_u_accounting_on_random_hulls():
         poly, _, spec = random_hull(rng)
         scanned = u_count(poly)
         assert polygon_stats(poly).u == scanned
-        boundary = (oracle_segment_points(*poly.vertices) if poly.k == 1
+        boundary = (oracle_segment_points(*poly.vertices) if len(poly.steps) == 1
                     else oracle_boundary_scan(list(poly.vertices)))
         assert scanned == (
             triangle_interior_count(spec)

@@ -14,7 +14,7 @@ from math import comb, gcd
 
 import pytest
 
-from latticechains import enumeration, geometry
+from latticechains import cli, enumeration, geometry
 from latticechains.cli import records_for
 from latticechains.explorer import triangle_signatures
 from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
@@ -101,13 +101,14 @@ def test_polygon_form_matches_pick_free_term_sum(i, j):
     spec = TriangleSpec(i, j)
     total = QHalfPoly()
     for p in enumerate_polygons(spec):
-        if p.k == 1:
+        k = len(p.steps)
+        if k == 1:
             interior, boundary = 0, segment_lattice_count((0, 0), (i, j))
         else:
             verts = list(p.vertices)
             interior, boundary = oracle_interior_scan(verts), oracle_boundary_scan(verts)
-        total = total + power(Q_MINUS_ONE, p.k - 1) * QHalfPoly.monomial(
-            2 * (interior + boundary - (p.k - 1)))
+        total = total + power(Q_MINUS_ONE, k - 1) * QHalfPoly.monomial(
+            2 * (interior + boundary - (k - 1)))
     assert lhs_main_via_polygons(spec) == total
 
 
@@ -245,8 +246,8 @@ def test_signature_matches_pick_route(i):
 
 
 def count_validations(monkeypatch) -> Counter:
-    """Count check_steps calls, through the enumeration and geometry
-    bindings both, and the polygons built."""
+    """Count check_steps calls, through the enumeration, geometry and cli
+    bindings all, and the polygons built."""
     counts = Counter()
     check_steps = geometry.check_steps
 
@@ -256,6 +257,7 @@ def count_validations(monkeypatch) -> Counter:
 
     monkeypatch.setattr(enumeration, "check_steps", counting_check)
     monkeypatch.setattr(geometry, "check_steps", counting_check)
+    monkeypatch.setattr(cli, "check_steps", counting_check)
     init = ChainPolygon.__init__
 
     def counting_init(self, vertices, spec):
@@ -280,10 +282,10 @@ def test_triangle_signatures_check_no_chain_and_build_no_object(monkeypatch):
     assert counts == {}
 
 
-def test_enumerate_records_check_each_chain_once(monkeypatch):
+def test_enumerate_records_check_each_chain_once_and_build_no_polygon(monkeypatch):
     counts = count_validations(monkeypatch)
     assert len(records_for(TriangleSpec(8, 9))) == 149
-    assert counts == {"check_steps": 149, "polygons": 149}
+    assert counts == {"check_steps": 149}
 
 
 def test_signature_streams_the_walk():
