@@ -7,6 +7,11 @@ included (one line on stderr), or stdout closed by its reader (quietly:
 `| head` is normal use). An unwritable stderr changes no exit code, and
 stdout already written is kept. Identical arguments give byte-identical
 stdout and files.
+
+Each command is written once, in `COMMANDS`. A run that starts with a
+command's name builds only that command's parser; help, an unknown command
+and arguments that parser leaves over go to the full parser `build_parser`
+makes from the same table, so help and usage errors are its, byte for byte.
 """
 
 from __future__ import annotations
@@ -259,11 +264,14 @@ def cmd_explore(args) -> int:
         return refuse(f"search cap hit: {exc}; raise --node-cap to finish the search")
     except MemoryError:
         return refuse("search ran out of memory; lower --max-a, --max-b or --max-size")
+    try:
+        signatures = triangle_signatures(args.max_m, args.max_n) if found else {}
+    except MemoryError:
+        return refuse("triangle box ran out of memory; lower --max-m or --max-n")
     if args.collapse_sets:
         found = list(dict.fromkeys(sig.as_set() for sig in found))
     print(f"search bounds: a <= {args.max_a}, b <= {args.max_b}, size <= {args.max_size}")
     print(f"found {len(found)} unit multiset(s)")
-    signatures = triangle_signatures(args.max_m, args.max_n) if found else {}
     if args.collapse_sets:
         signatures = {mn: sig.as_set() for mn, sig in signatures.items()}
     for sig in found:
@@ -365,55 +373,90 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+def _verify_arguments(parser) -> None:
+    parser.add_argument("--i", type=positive_int)
+    parser.add_argument("--n", type=positive_int)
+    parser.add_argument("--all-up-to", type=positive_int, metavar="N")
+
+
+def _enumerate_arguments(parser) -> None:
+    parser.add_argument("--i", type=positive_int, required=True)
+    parser.add_argument("--j", type=positive_int, required=True)
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _simulate_arguments(parser) -> None:
+    parser.add_argument("--i", type=positive_int, required=True)
+    parser.add_argument("--j", type=positive_int, required=True)
+    parser.add_argument("--x", type=unit_fraction, required=True, metavar="P/Q")
+    parser.add_argument("--trials", type=positive_int, required=True)
+    parser.add_argument("--seed", type=nonnegative_int, default=0)
+    parser.add_argument("--jobs", type=positive_int, default=1)
+    parser.add_argument("--z-threshold", type=z_threshold, default=4.0)
+
+
+def _explore_arguments(parser) -> None:
+    parser.add_argument("--max-a", type=nonnegative_int, required=True)
+    parser.add_argument("--max-b", type=nonnegative_int, required=True)
+    parser.add_argument("--max-size", type=positive_int, required=True)
+    parser.add_argument("--max-m", type=positive_int, default=8)
+    parser.add_argument("--max-n", type=positive_int, default=8)
+    parser.add_argument("--node-cap", type=positive_int, default=_NODE_CAP,
+                        help="most units of coefficient work, b + 1 per (a, b) pair "
+                             "placed or folded; hitting it exits 2 (default %(default)s)")
+    parser.add_argument("--collapse-sets", action="store_true",
+                        help="compare signatures with multiplicities dropped")
+
+
+def _render_arguments(parser) -> None:
+    parser.add_argument("--i", type=positive_int, required=True)
+    parser.add_argument("--j", type=positive_int, required=True)
+    parser.add_argument("--out-dir", required=True)
+
+
+# Each command once, in help order: its help line, the function that adds
+# its arguments and the function that runs it.
+COMMANDS = {
+    "verify": ("check the identity for one (i,n) or a sweep", _verify_arguments, cmd_verify),
+    "enumerate": ("list the polygon family with statistics", _enumerate_arguments, cmd_enumerate),
+    "simulate": ("run the point-selection process and compare", _simulate_arguments, cmd_simulate),
+    "explore": ("search exponent multisets summing to 1", _explore_arguments, cmd_explore),
+    "render": ("write one SVG figure per polygon", _render_arguments, cmd_render),
+}
+
+
+def _command_parser(parser, name: str) -> argparse.ArgumentParser:
+    _, add_arguments, func = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser, under the one that names the commands: what
+    parse_args falls back to for help, usage errors and unknown commands."""
     parser = _Parser(
         prog="latticechains",
         description="Exact verification of the convex chain identity and its process form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="check the identity for one (i,n) or a sweep")
-    p_verify.add_argument("--i", type=positive_int)
-    p_verify.add_argument("--n", type=positive_int)
-    p_verify.add_argument("--all-up-to", type=positive_int, metavar="N")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_enum = sub.add_parser("enumerate", help="list the polygon family with statistics")
-    p_enum.add_argument("--i", type=positive_int, required=True)
-    p_enum.add_argument("--j", type=positive_int, required=True)
-    p_enum.add_argument("--format", choices=["json", "csv"], default="json")
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_sim = sub.add_parser("simulate", help="run the point-selection process and compare")
-    p_sim.add_argument("--i", type=positive_int, required=True)
-    p_sim.add_argument("--j", type=positive_int, required=True)
-    p_sim.add_argument("--x", type=unit_fraction, required=True, metavar="P/Q")
-    p_sim.add_argument("--trials", type=positive_int, required=True)
-    p_sim.add_argument("--seed", type=nonnegative_int, default=0)
-    p_sim.add_argument("--jobs", type=positive_int, default=1)
-    p_sim.add_argument("--z-threshold", type=z_threshold, default=4.0)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_explore = sub.add_parser("explore", help="search exponent multisets summing to 1")
-    p_explore.add_argument("--max-a", type=nonnegative_int, required=True)
-    p_explore.add_argument("--max-b", type=nonnegative_int, required=True)
-    p_explore.add_argument("--max-size", type=positive_int, required=True)
-    p_explore.add_argument("--max-m", type=positive_int, default=8)
-    p_explore.add_argument("--max-n", type=positive_int, default=8)
-    p_explore.add_argument("--node-cap", type=positive_int, default=_NODE_CAP,
-                           help="most units of coefficient work, b + 1 per (a, b) pair "
-                                "placed or folded; hitting it exits 2 (default %(default)s)")
-    p_explore.add_argument("--collapse-sets", action="store_true",
-                           help="compare signatures with multiplicities dropped")
-    p_explore.set_defaults(func=cmd_explore)
-
-    p_render = sub.add_parser("render", help="write one SVG figure per polygon")
-    p_render.add_argument("--i", type=positive_int, required=True)
-    p_render.add_argument("--j", type=positive_int, required=True)
-    p_render.add_argument("--out-dir", required=True)
-    p_render.set_defaults(func=cmd_render)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building one parser when argv[0]
+    names a command: the one add_parser builds for it, whose help and errors
+    are those it writes under the full parser. Arguments it leaves over make
+    the full parser's "unrecognized arguments" error, so they go to it."""
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(_Parser(prog=f"latticechains {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -421,7 +464,7 @@ def main(argv=None) -> int:
         return refuse("cannot write output: stdout is closed")
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = parse_args(sys.argv[1:] if argv is None else argv)
         except SystemExit as exc:  # argparse wrote its help (0) or a usage error (2)
             status = refuse() if exc.code else 0
         else:

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, schemas, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import latticechains
+import latticechains.cli as cli
 from latticechains.cli import (
     CSV_COLUMNS,
     FIELDS,
@@ -59,8 +61,6 @@ def test_a_sweep_of_one_pair_ends_on_its_summary(capsys):
 def test_a_sweep_out_of_memory_exits_two(capsys, monkeypatch):
     # the sweep holds every pair's histograms before its first line, so a
     # sweep too large for memory is refused with nothing printed
-    import latticechains.cli as cli
-
     def exhausted(max_n):
         raise MemoryError
 
@@ -229,6 +229,9 @@ EXIT_MATRIX = {
     "help-full-stdout": (["--help"], ">/dev/full", "", FULL),
     "subcommand-help-full-stdout": (["verify", "--help"], ">/dev/full", "", FULL),
     "closed-stdout-full-stderr": (["verify", "--i", "2", "--n", "5"], ">&- 2>/dev/full", "", ""),
+    # the one-command parser leaves --bogus over, so the full parser refuses it
+    "leftover-argument-full-stderr": (["verify", "--i", "2", "--n", "5", "--bogus"],
+                                      "2>/dev/full", "", ""),
     # render's second file is a directory, so it refuses after writing one
     "render-refusal-full-stderr": (["render", "--i", "2", "--j", "3", "--out-dir", "figs"],
                                    "2>/dev/full", "wrote figs/poly_0.svg\n", ""),
@@ -258,6 +261,88 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--i", "1", "--n", "2", "--all-up-to", "5")[0] == 2
     assert run(capsys, "verify", "--all-up-to", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+def test_a_leftover_argument_gets_the_full_parsers_usage_error(capsys):
+    assert run(capsys, "verify", "--i", "2", "--n", "5", "--bogus") == (
+        2, "",
+        "usage: latticechains [-h] {verify,enumerate,simulate,explore,render} ...\n"
+        "latticechains: error: unrecognized arguments: --bogus\n")
+
+
+# argvs for the one-command parser and the full one: help, usage errors,
+# abbreviations, "--", leftovers, and a valid run of each command
+PARSE_MATRIX = [
+    [], ["--help"], ["-h"], ["-h", "verify"], ["nonsense"], ["Verify"],
+    ["--bogus", "verify", "--i", "2", "--n", "5"], ["--", "verify", "--i", "2", "--n", "5"],
+    ["verify", "--help"], ["verify", "-h"], ["verify", "--h"], ["verify", "--i", "2", "--n", "5"],
+    ["verify", "--al", "5"], ["verify", "--all-up-to=5"], ["verify", "--i=2", "--n=5"],
+    ["verify"], ["verify", "--i"], ["verify", "--i", "x"], ["verify", "--i", "0"],
+    ["verify", "--i", "-5"], ["verify", "-5"], ["verify", "--i", "2", "--n", "5", "--bogus"],
+    ["verify", "--i", "2", "--n", "5", "extra"], ["verify", "--", "--i", "2"],
+    ["verify", "--i", "2", "--n", "5", "--"], ["verify", "enumerate"],
+    ["enumerate", "--help"], ["enumerate", "--i", "3", "--j", "4"],
+    ["enumerate", "--i", "3", "--j", "4", "--fo", "csv"], ["enumerate", "--i", "3"],
+    ["enumerate", "--i", "3", "--j", "4", "--format", "xml"],
+    ["enumerate", "--i", "3", "--j", "4", "--format"], ["enumerate", "verify", "--i", "2"],
+    ["simulate", "--help"], ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10"],
+    ["simulate", "--i", "2", "--j", "3", "--x", "3/2", "--trials", "10"],
+    ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10", "--z", "nan"],
+    ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10", "--seed", "-1"],
+    ["simulate", "--i", "2", "--j", "3", "--x", "1/2"],
+    ["explore", "--help"], ["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2"],
+    ["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2", "--collapse-sets"],
+    ["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2", "--collapse-sets=1"],
+    ["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2", "--max", "3"],
+    ["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2", "--node-cap", "0"],
+    ["render", "--help"], ["render", "--i", "2", "--j", "3", "--out-dir", "figs"],
+    ["render", "--i", "2", "--j", "3"], ["render", "--i", "2", "--j", "3", "--out-dir"],
+    ["render", "--out-dir", "figs", "--i", "2", "--j", "3", "--bogus=1"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_MATRIX, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_one_command_parser_agrees_with_the_full_one(capsys, argv):
+    one = parse_outcome(capsys, cli.parse_args, argv)
+    full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert one == full
+    if isinstance(full[0], argparse.Namespace):
+        assert one[0].func is full[0].func is cli.COMMANDS[argv[0]][2]
+
+
+def test_every_command_is_in_the_parse_matrix():
+    assert {argv[0] for argv in PARSE_MATRIX if argv[1:] == ["--help"]} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify", "--i", "1", "--n", "2"], 1),
+    (["enumerate", "--i", "2", "--j", "2"], 1),
+    (["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10"], 1),
+    (["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2"], 1),
+    (["render", "--i", "1", "--j", "2", "--out-dir", "figs"], 1),
+    (["--help"], 1 + len(cli.COMMANDS)),
+], ids=lambda value: value[0] if isinstance(value, list) else str(value))
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch, tmp_path, argv, built):
+    constructed = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(constructed) == built, constructed
 
 
 def test_enumerate_json_round_trip(capsys):
@@ -484,8 +569,6 @@ def test_explore_refuses_a_huge_search_in_bounded_time():
 def test_explore_out_of_memory_exits_two(capsys, monkeypatch):
     # a search too large for the memory it may use is refused, not a traceback
     # with exit 1, which means a failed mathematical check
-    import latticechains.cli as cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError
 
@@ -495,6 +578,18 @@ def test_explore_out_of_memory_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "search ran out of memory" in err
+
+
+def test_explore_triangle_box_out_of_memory_exits_two(capsys, monkeypatch):
+    # the signatures of every triangle up to (max-m, max-n) are built before
+    # the first line, so a box too large for memory is refused with nothing printed
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "triangle_signatures", exhausted)
+    assert run(capsys, "explore", "--max-a", "1", "--max-b", "1", "--max-size", "2",
+               "--max-m", "100000", "--max-n", "100000") == (
+        2, "", "triangle box ran out of memory; lower --max-m or --max-n\n")
 
 
 def test_explore_collapse_sets_flag(capsys):
