@@ -24,11 +24,12 @@ import math
 import os
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .enumeration import chains_C, enumerate_polygons
 from .geometry import (ChainPolygon, PolygonStats, TriangleSpec, chain_stats, chain_vertices, check_steps,
-                       polygon_stats, triangle_interior_points)
+                       triangle_interior_points)
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import _NODE_CAP, SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all, verify_up_to
@@ -38,6 +39,8 @@ from .verification import verify_all, verify_up_to
 # place. The vertices are the last CSV column and the first JSON key.
 FIELDS = ("k", "vCount", "iP", "bP", "area2", "u", "exponentDoubled")
 CSV_COLUMNS = [*FIELDS, "vertices"]
+_JSON_KEYS = frozenset(CSV_COLUMNS)
+_json_fields = itemgetter(*FIELDS)
 
 
 class PolygonRecord(NamedTuple):
@@ -53,33 +56,56 @@ class PolygonRecord(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolygonRecord":
+        """The record a JSON object stands for, unchecked: validate checks it."""
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, got {obj!r}")
-        extra = obj.keys() - {*FIELDS, "vertices"}
+        extra = obj.keys() - _JSON_KEYS
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)}")
-        vertices = tuple((_json_int(x), _json_int(y)) for x, y in obj["vertices"])
-        return cls(vertices, PolygonStats(*[_json_int(obj[key]) for key in FIELDS]))
+        return cls(_points(obj["vertices"]), PolygonStats(*_json_fields(obj)))
 
-    def validate(self) -> None:
-        """Recompute everything from the vertices; mismatch means corruption."""
-        spec = TriangleSpec(*self.vertices[-1])
-        if polygon_stats(ChainPolygon(self.vertices, spec)) != self.stats:
+    def validate(self, specs: dict | None = None) -> None:
+        """The one check of a record, in one pass: every vertex an (x, y)
+        tuple of ints and every stats field an int (bool is refused, since a
+        writer would emit True as the JSON literal true), at least 2
+        vertices, the first (0,0), the vertex differences a chain that
+        check_steps accepts, and chain_stats of that chain equal to the
+        stats. A mismatch means corruption. A loader passes one `specs` dict
+        for all its records, so each triangle is built once per distinct
+        end vertex."""
+        vertices, stats = self
+        for value in stats:
+            if type(value) is not int:
+                raise TypeError(f"stats fields must be ints, got {value!r}")
+        for v in vertices:
+            if not (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
+                raise TypeError(f"a vertex is an (x, y) tuple of ints, got {v!r}")
+        if len(vertices) < 2:
+            raise ValueError("a record needs at least 2 vertices")
+        if vertices[0] != (0, 0):
+            raise ValueError(f"a record's chain must start at (0,0), got {vertices[0]}")
+        steps = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])]
+        check_steps(steps)
+        if specs is None:
+            specs = {}
+        end = vertices[-1]
+        spec = specs.get(end)
+        if spec is None:
+            spec = specs[end] = TriangleSpec(*end)
+        if chain_stats(steps, spec) != stats:
             raise ValueError(f"record fields disagree with recomputation: {self}")
 
 
-def _json_int(value) -> int:
-    """A JSON integer as written; int() would also take 2.7, "2" or true."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _points(raw) -> tuple:
+    """A record's vertices as read from JSON, each pair as a tuple."""
+    return tuple([(x, y) for x, y in raw])
 
 
 def records_for(spec: TriangleSpec) -> list:
     """The records of enumerate_polygons(spec), in its order, read off the
     walk: each chain checked once by check_steps, its vertices and stats
-    computed from its steps. No polygon is built; the loaders' validate
-    rebuilds one per record."""
+    computed from its steps. No polygon is built, here or by the loaders'
+    validate."""
     records = []
     for steps in sorted(chains_C(spec.i, spec.j), key=len):
         check_steps(steps)
@@ -101,12 +127,13 @@ def records_to_json(records) -> str:
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _load_record(number: int, parse, raw) -> PolygonRecord:
-    """parse(raw) builds record `number` (1-based); any malformed field, and
-    any disagreement with recomputation, is a ValueError naming it."""
+def _load_record(number: int, parse, raw, specs: dict) -> PolygonRecord:
+    """parse(raw) builds record `number` (1-based) and its validate checks
+    it against the load's `specs`; any malformed field, and any
+    disagreement with recomputation, is a ValueError naming it."""
     try:
         record = parse(raw)
-        record.validate()
+        record.validate(specs)
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
         raise ValueError(f"record {number}: {exc}") from exc
     return record
@@ -119,7 +146,8 @@ def records_from_json(text: str) -> list:
         raise ValueError(f"JSON document nested too deeply: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError("expected a JSON list of records")
-    return [_load_record(number, PolygonRecord.from_json_obj, obj)
+    specs = {}
+    return [_load_record(number, PolygonRecord.from_json_obj, obj, specs)
             for number, obj in enumerate(data, start=1)]
 
 
@@ -143,19 +171,19 @@ def records_from_csv(text: str) -> list:
         raise ValueError(f"malformed CSV: {exc}") from exc
     if not rows or rows[0] != CSV_COLUMNS:
         raise ValueError(f"expected header {','.join(CSV_COLUMNS)}")
-    return [_load_record(number, _record_from_csv_row, row)
+    specs = {}
+    return [_load_record(number, _record_from_csv_row, row, specs)
             for number, row in enumerate(rows[1:], start=1)]
 
 
 def _record_from_csv_row(row: list) -> PolygonRecord:
-    """The row as the JSON record it stands for: each scalar cell only in the
-    canonical form the writer emits (so not 2.9, true, +1, 01 or ' 1'), the
-    vertices cell through JSON."""
+    """The record a row stands for, unchecked but for its cells: each scalar
+    cell only in the canonical form the writer emits (so not 2.9, true, +1,
+    01 or ' 1'), the vertices cell through JSON."""
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    obj = {key: _canonical_int(cell) for key, cell in zip(FIELDS, row)}
-    obj["vertices"] = json.loads(row[-1])
-    return PolygonRecord.from_json_obj(obj)
+    *cells, vertices = row
+    return PolygonRecord(_points(json.loads(vertices)), PolygonStats(*map(_canonical_int, cells)))
 
 
 def _canonical_int(cell: str) -> int:

@@ -225,15 +225,10 @@ def chain_stats(steps: Steps, spec: TriangleSpec) -> PolygonStats:
     edge_gcds = pair_gcd_sum(steps)
     boundary = edge_gcds + spec.g
     interior = (area2 - boundary + 2) // 2
-    return PolygonStats(
-        k=k,
-        v_count=k + 1,
-        interior=interior,
-        boundary=boundary,
-        area2=area2,
-        u=spec.interior_count - interior - (edge_gcds - 1),
-        exponent_doubled=2 * (interior + boundary - (k - 1)),
-    )
+    u = spec.interior_count - interior - (edge_gcds - 1)
+    # positional, in PolygonStats' field order: keywords slow this call,
+    # made once per record written and once per record loaded
+    return PolygonStats(k, k + 1, interior, boundary, area2, u, 2 * (interior + boundary - (k - 1)))
 
 
 def polygon_stats(poly: ChainPolygon) -> PolygonStats:

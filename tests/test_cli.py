@@ -404,6 +404,53 @@ def test_record_validation_catches_tampering():
         records_from_json(text)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k", True), ("interior", False), ("u", 1.0), ("area2", 0.0),
+], ids=["bool-k", "bool-interior", "float-u", "float-area2"])
+def test_record_validation_refuses_a_stats_field_that_is_not_an_int(field, value):
+    # the 2-gon of (2,3): k=1, interior=0, u=1, area2=0, each equal to its stand-in
+    record = records_for(TriangleSpec(2, 3))[0]
+    broken = PolygonRecord(record.vertices, record.stats._replace(**{field: value}))
+    assert broken.stats == record.stats
+    with pytest.raises(TypeError):
+        broken.validate()
+    for load, write in ((records_from_json, records_to_json), (records_from_csv, records_to_csv)):
+        with pytest.raises(ValueError):
+            load(write([broken]))
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 0), (True, True)), ((False, 0), (1, 1)), ((0, False), (1, 1)), ((0, 0), [1, 1]),
+], ids=["bool-end", "bool-origin-x", "bool-origin-y", "list-vertex"])
+def test_record_validation_refuses_a_vertex_that_is_not_a_pair_of_ints(vertices):
+    broken = PolygonRecord(vertices, records_for(TriangleSpec(1, 1))[0].stats)
+    with pytest.raises(TypeError):
+        broken.validate()
+
+
+def test_each_loader_validates_each_record_once_and_builds_each_triangle_once(monkeypatch):
+    records = records_for(TriangleSpec(8, 9)) + records_for(TriangleSpec(3, 4))
+    validated, specs = [], []
+    validate = PolygonRecord.validate
+
+    def counting_validate(self, *args):
+        validated.append(self)
+        return validate(self, *args)
+
+    def counting_spec(i, j):
+        specs.append((i, j))
+        return TriangleSpec(i, j)
+
+    monkeypatch.setattr(PolygonRecord, "validate", counting_validate)
+    monkeypatch.setattr(cli, "TriangleSpec", counting_spec)
+    for load, write in ((records_from_json, records_to_json), (records_from_csv, records_to_csv)):
+        validated.clear()
+        specs.clear()
+        assert load(write(records)) == records
+        assert validated == records
+        assert specs == [(8, 9), (3, 4)]
+
+
 GOOD_JSON_FIELDS = '"vertices": [[0, 0], [1, 1]], "k": 1, "vCount": 2, "iP": 0, "bP": 2, "area2": 0, "u": 0'
 
 

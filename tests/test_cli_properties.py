@@ -1,7 +1,8 @@
 """Property tests for what the CLI reads from outside, record files and
 command-line values, and for the record files it writes. Every input is
 either accepted or refused with a ValueError; none may escape as another
-exception. Each writer gives its standard-library oracle's bytes."""
+exception. Each writer gives its standard-library oracle's bytes, and the
+record check accepts what its polygon-building oracle accepts."""
 
 import argparse
 import csv
@@ -27,6 +28,7 @@ from latticechains.cli import (
     z_threshold,
 )
 from latticechains.geometry import PolygonStats, TriangleSpec
+from record_oracles import accepts, validate_oracle
 from writer_oracles import csv_oracle, json_oracle
 
 # derandomized so the suite runs the same examples every time
@@ -57,6 +59,74 @@ RECORD_LISTS = st.lists(
     ),
     max_size=5,
 )
+
+
+# every record of every triangle with legs up to 10: 3,958 records
+FAMILY = [record for i in range(1, 11) for j in range(1, 11)
+          for record in records_for(TriangleSpec(i, j))]
+# a tampered value: near a real coordinate or field, or of another type
+VALUES = (st.integers(-1, 11) | INTEGERS | st.booleans() | st.none() | TEXT
+          | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def tampered_records(draw):
+    """A record of FAMILY with one coordinate, vertex or stats field
+    replaced, one vertex dropped, or two vertices swapped."""
+    vertices, stats = draw(st.sampled_from(FAMILY))
+    vertices = list(vertices)
+    index = draw(st.integers(0, len(vertices) - 1))
+    kind = draw(st.sampled_from(["coordinate", "vertex", "drop", "swap", "stat"]))
+    if kind == "coordinate":
+        point = list(vertices[index])
+        point[draw(st.integers(0, 1))] = draw(VALUES)
+        vertices[index] = tuple(point)
+    elif kind == "vertex":
+        vertices[index] = draw(st.tuples(VALUES, VALUES, VALUES) | st.lists(VALUES, max_size=3) | VALUES)
+    elif kind == "drop":
+        del vertices[index]
+    elif kind == "swap":
+        other = draw(st.integers(0, len(vertices) - 1))
+        vertices[index], vertices[other] = vertices[other], vertices[index]
+    else:
+        values = list(stats)
+        values[draw(st.integers(0, len(values) - 1))] = draw(VALUES)
+        stats = PolygonStats(*values)
+    return PolygonRecord(tuple(vertices), stats)
+
+
+def test_validate_accepts_every_record_of_the_family():
+    for record in FAMILY:
+        record.validate()
+        validate_oracle(record)
+
+
+@SETTINGS
+@given(tampered_records())
+def test_validate_accepts_what_the_polygon_route_accepts(record):
+    assert accepts(PolygonRecord.validate, record) == accepts(validate_oracle, record)
+
+
+def test_validate_agrees_with_the_polygon_route_on_every_one_step_tamper():
+    # each record of legs up to 7 with one coordinate or stats field moved
+    # by one or made the float or bool of its value, one vertex dropped, or
+    # two neighbouring vertices swapped
+    for record in [r for r in FAMILY if max(r.vertices[-1]) <= 7]:
+        vertices, stats = record
+        tampered = []
+        for index, (x, y) in enumerate(vertices):
+            for a in (x - 1, x + 1, float(x), bool(x)):
+                tampered.append((*vertices[:index], (a, y), *vertices[index + 1:]))
+            for b in (y - 1, y + 1, float(y), bool(y)):
+                tampered.append((*vertices[:index], (x, b), *vertices[index + 1:]))
+            tampered.append(vertices[:index] + vertices[index + 1:])
+            tampered.append((*vertices[:index], *vertices[index:index + 2][::-1], *vertices[index + 2:]))
+        records = [PolygonRecord(v, stats) for v in tampered]
+        for field, value in zip(PolygonStats._fields, stats):
+            for changed in (value + 1, float(value), bool(value)):
+                records.append(PolygonRecord(vertices, stats._replace(**{field: changed})))
+        for r in records:
+            assert accepts(PolygonRecord.validate, r) == accepts(validate_oracle, r), r
 
 
 def same_integer(value, original) -> bool:

@@ -288,6 +288,16 @@ def test_enumerate_records_check_each_chain_once_and_build_no_polygon(monkeypatc
     assert counts == {"check_steps": 149}
 
 
+def test_loaders_check_each_chain_once_and_build_no_polygon(monkeypatch):
+    records = records_for(TriangleSpec(8, 9))
+    texts = [cli.records_to_json(records), cli.records_to_csv(records)]
+    counts = count_validations(monkeypatch)
+    assert cli.records_from_json(texts[0]) == records
+    assert counts == {"check_steps": 149}
+    assert cli.records_from_csv(texts[1]) == records
+    assert counts == {"check_steps": 2 * 149}
+
+
 def test_signature_streams_the_walk():
     # the proof path counts keys off the walk; a sorted list of the family
     # would hold every step tuple at once
