@@ -298,10 +298,9 @@ def cmd_explore(args) -> int:
         return refuse("triangle box ran out of memory; lower --max-m or --max-n")
     if args.collapse_sets:
         found = list(dict.fromkeys(sig.as_set() for sig in found))
+        signatures = {mn: sig.as_set() for mn, sig in signatures.items()}
     print(f"search bounds: a <= {args.max_a}, b <= {args.max_b}, size <= {args.max_size}")
     print(f"found {len(found)} unit multiset(s)")
-    if args.collapse_sets:
-        signatures = {mn: sig.as_set() for mn, sig in signatures.items()}
     for sig in found:
         matches = match_signature(sig, signatures)
         shown = ", ".join(f"({m},{n})" for m, n in matches) if matches else "none"

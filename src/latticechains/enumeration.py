@@ -24,16 +24,20 @@ its shear; enumerate_polygons yields a ChainPolygon per chain.
 cli.records_for reads the C walk the same way, sorted by k and each chain
 checked once by check_steps, and builds no ChainPolygon.
 
-Slopes are compared by integer cross products throughout. The walk takes a
-step only if it continues the slope order and the remainder can still
-follow it. The later steps sum to the remainder, and a sum of vectors whose
-slopes are all strictly below (above) a slope has a slope strictly below
-(above) it too. So a D step (a, b) needs (rem_a - a) * b < a * (rem_b - b),
-and a C step (x, y) needs x * (rem_y - y) - (rem_x - x) * y > 0. Both are
-necessary, and they are exactly the slope order of the closing step, so
-every prefix the walk visits closes into one chain and no branch yields
-nothing. With the step's first coordinate fixed, each fails for every
-larger second coordinate once it fails, so the inner loop stops there.
+Slopes are compared by integer cross products throughout. With a step's
+first coordinate fixed, its second runs over a range whose two bounds are
+the whole rule, so the walk tests nothing inside it:
+
+* from below, the slope order after the previous step (pa, pb) or
+  (px, py): b >= a * pb // pa + 1 for D and y >= x * py // px + 1 for C,
+  seeded with (1, 1) for D (so a < b) and (1, 0) for C (so y >= 1);
+* from above, the rest stays strictly flatter (D) or steeper (C) than this
+  step, b * rem_a < a * rem_b or y * rem_x < x * rem_y: the later steps sum
+  to the remainder, and a sum of vectors whose slopes all lie strictly on
+  one side of a slope lies on that side too.
+
+The upper bound is also the slope order of the closing step, so every
+prefix the walk visits closes into one chain and no branch yields nothing.
 
 A sweep reads each family from one region walk, region_D or region_C,
 instead of one targeted walk per end point. It starts every chain at the
@@ -59,17 +63,13 @@ def chains_D(i: int, n: int) -> Iterator[Steps]:
     once, in lexicographic order and unvalidated."""
     if i < 1 or n <= i:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    return _walk_d((), i, n)
+    return _walk_d((), 1, 1, i, n)
 
 
-def _walk_d(prefix, rem_a, rem_b):
+def _walk_d(prefix, pa, pb, rem_a, rem_b):
     for a in range(1, rem_a):
-        for b in range(a + 1, rem_b):
-            if (rem_a - a) * b >= a * (rem_b - b):
-                break  # the rest cannot be strictly flatter than (a, b)
-            if prefix and prefix[-1][0] * b <= a * prefix[-1][1]:
-                continue
-            yield from _walk_d((*prefix, (a, b)), rem_a - a, rem_b - b)
+        for b in range(a * pb // pa + 1, (a * rem_b - 1) // rem_a + 1):
+            yield from _walk_d((*prefix, (a, b)), a, b, rem_a - a, rem_b - b)
     yield (*prefix, (rem_a, rem_b))
 
 
@@ -78,17 +78,13 @@ def chains_C(i: int, j: int) -> Iterator[Steps]:
     once, in lexicographic order and unvalidated."""
     if i < 1 or j < 1:
         raise ValueError(f"need i, j >= 1, got i={i}, j={j}")
-    return _walk_c((), i, j)
+    return _walk_c((), 1, 0, i, j)
 
 
-def _walk_c(prefix, rem_x, rem_y):
+def _walk_c(prefix, px, py, rem_x, rem_y):
     for x in range(1, rem_x):
-        for y in range(1, rem_y):
-            if x * (rem_y - y) - (rem_x - x) * y <= 0:
-                break  # the rest cannot be strictly steeper than (x, y)
-            if prefix and prefix[-1][0] * y - x * prefix[-1][1] <= 0:
-                continue
-            yield from _walk_c((*prefix, (x, y)), rem_x - x, rem_y - y)
+        for y in range(x * py // px + 1, (x * rem_y - 1) // rem_x + 1):
+            yield from _walk_c((*prefix, (x, y)), x, y, rem_x - x, rem_y - y)
     yield (*prefix, (rem_x, rem_y))
 
 

@@ -91,11 +91,13 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
     values of b, and a branch dies when need_t < 0, when a level above
     max_a still needs pairs, or when it would pass max_size. At x = 1
     only b = 0 terms survive, so at most one pair has b = 0. A pair (t, b)
-    lowers the coefficient of x^(t+1) by b, so a level stops trying larger
-    b once the pairs it holds force more pairs at level t+1 than max_a or
-    max_size allows. Levels whose coefficient is already 0 need no pairs
-    and are skipped, so a huge max_a costs nothing. Each completed
-    multiset is confirmed by an exact fold.
+    and each of the `left` - 1 pairs placed after it at level t lower the
+    coefficient c of x^(t+1) by b or more, so b runs up to
+    (c + room) // left, where room is how many pairs level t+1 may still
+    take: 0 at t = max_a, else max_size less the pairs held and still to
+    place. Levels whose coefficient is already 0 need no pairs and are
+    skipped, so a huge max_a costs nothing. Each completed multiset is
+    confirmed by an exact fold.
     """
     if max_a < 0 or max_b < 0:
         raise ValueError("exponent bounds must be >= 0")
@@ -137,13 +139,12 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
 
     def placements(pairs: tuple, a: int, left: int, low: int, has_b0: bool, coeffs: tuple):
         """The entries one pair (a, b) further on, b in increasing order."""
-        for b in range(1 if has_b0 and low == 0 else low, max_b + 1):
-            # this pair and each later one at level a lower the x^(a+1)
-            # coefficient by at least b; every unit it ends below 0 is one
-            # more pair at level a+1
-            short = b * left - coeffs[1]
-            if short > 0 and (a == max_a or len(pairs) + left + short > max_size):
-                return
+        # the `left` pairs from this one on lower the x^(a+1) coefficient by
+        # b * left or more, and each unit below 0 is one more pair at level
+        # a+1, which has room for `room`: so b * left - coeffs[1] <= room
+        room = 0 if a == max_a else max_size - len(pairs) - left
+        top = min(max_b, (coeffs[1] + room) // left)
+        for b in range(1 if has_b0 and low == 0 else low, top + 1):
             spend(b + 1)
             if b not in rows:
                 # rows[b][j] is the coefficient of x^(a+j) in x^a * (1-x)^b, each from the last

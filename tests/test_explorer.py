@@ -107,7 +107,7 @@ def test_search_reaches_5_4_8_under_the_default_cap():
     got = search_unit_multisets(5, 4, 8)
     assert len(got) == 154
     assert got == mirror_peel_search(5, 4, 8)
-    # the single b = 0 rule and the lookahead keep it to 4,670 units of
+    # the single b = 0 rule and the bound on b keep it to 4,670 units of
     # coefficient work; without the rule it does 5,940
     assert search_unit_multisets(5, 4, 8, node_cap=5_000) == got
 
@@ -137,6 +137,15 @@ def test_search_results_all_verify():
 def test_search_cap_is_an_error_not_a_truncation():
     with pytest.raises(SearchCapExceeded):
         search_unit_multisets(3, 3, 5, node_cap=10)
+
+
+@pytest.mark.parametrize("bounds, units, count", [((4, 3, 4), 36, 4), ((5, 4, 8), 4_670, 154)])
+def test_search_cap_unit_at_its_exact_boundary(bounds, units, count):
+    # the least cap that finishes is the search's whole coefficient work:
+    # a bound on b that let it place one more pair would cost more units
+    assert len(search_unit_multisets(*bounds, node_cap=units)) == count
+    with pytest.raises(SearchCapExceeded):
+        search_unit_multisets(*bounds, node_cap=units - 1)
 
 
 def test_search_argument_validation():
