@@ -28,8 +28,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .enumeration import chains_C, enumerate_polygons
-from .geometry import (ChainPolygon, PolygonStats, TriangleSpec, chain_stats, chain_vertices, check_steps,
-                       triangle_interior_points)
+from .geometry import (ChainPolygon, PolygonStats, TriangleSpec, chain_stats, chain_steps, chain_vertices,
+                       check_steps, triangle_interior_points)
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import _NODE_CAP, SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all, verify_up_to
@@ -50,6 +50,7 @@ class PolygonRecord(NamedTuple):
     vertices: tuple
     stats: PolygonStats
 
+    # no command calls this; it stays while perfbench/child.py calls it (ROADMAP item 5)
     def to_json_obj(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices],
                 **dict(zip(FIELDS, self.stats))}
@@ -65,33 +66,20 @@ class PolygonRecord(NamedTuple):
         return cls(_points(obj["vertices"]), PolygonStats(*_json_fields(obj)))
 
     def validate(self, specs: dict | None = None) -> None:
-        """The one check of a record, in one pass: every vertex an (x, y)
-        tuple of ints and every stats field an int (bool is refused, since a
-        writer would emit True as the JSON literal true), at least 2
-        vertices, the first (0,0), the vertex differences a chain that
-        check_steps accepts, and chain_stats of that chain equal to the
-        stats. A mismatch means corruption. A loader passes one `specs` dict
-        for all its records, so each triangle is built once per distinct
-        end vertex."""
+        """The one check of a record: every stats field an int (bool refused:
+        a writer would emit True as the JSON literal true), the vertices a
+        chain that geometry.chain_steps accepts, and chain_stats of its steps
+        equal to the stats, else the record is corrupt. A loader passes one
+        `specs` dict for all its records: one triangle per distinct end."""
         vertices, stats = self
         for value in stats:
             if type(value) is not int:
                 raise TypeError(f"stats fields must be ints, got {value!r}")
-        for v in vertices:
-            if not (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
-                raise TypeError(f"a vertex is an (x, y) tuple of ints, got {v!r}")
-        if len(vertices) < 2:
-            raise ValueError("a record needs at least 2 vertices")
-        if vertices[0] != (0, 0):
-            raise ValueError(f"a record's chain must start at (0,0), got {vertices[0]}")
-        steps = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])]
-        check_steps(steps)
+        steps = chain_steps(vertices)
         if specs is None:
             specs = {}
         end = vertices[-1]
-        spec = specs.get(end)
-        if spec is None:
-            spec = specs[end] = TriangleSpec(*end)
+        spec = specs.get(end) or specs.setdefault(end, TriangleSpec(*end))
         if chain_stats(steps, spec) != stats:
             raise ValueError(f"record fields disagree with recomputation: {self}")
 
@@ -103,9 +91,8 @@ def _points(raw) -> tuple:
 
 def records_for(spec: TriangleSpec) -> list:
     """The records of enumerate_polygons(spec), in its order, read off the
-    walk: each chain checked once by check_steps, its vertices and stats
-    computed from its steps. No polygon is built, here or by the loaders'
-    validate."""
+    walk with no polygon built: each chain checked once by check_steps, its
+    vertices and stats computed from its steps."""
     records = []
     for steps in sorted(chains_C(spec.i, spec.j), key=len):
         check_steps(steps)

@@ -15,14 +15,12 @@ yields bare step tuples, unvalidated, in lexicographic order. The walk
 visits every chain prefix once and closes it with the remainder as its last
 step; the remainder's first coordinate exceeds that of any step that could
 extend the prefix, so the closed chain comes after every extension. The
-proof of one pair in verification reads these walks directly. enumerate_D
-and enumerate_polygons stable-sort the same walk by step count k, so their
-output is grouped by increasing k and lexicographic within a group, and
-validate each chain once.
-enumerate_D yields the bare step tuples, each after geometry.check_steps on
-its shear; enumerate_polygons yields a ChainPolygon per chain.
-cli.records_for reads the C walk the same way, sorted by k and each chain
-checked once by check_steps, and builds no ChainPolygon.
+proof of one pair in verification reads these walks directly. enumerate_D,
+enumerate_polygons and cli.records_for stable-sort the same walk by step
+count k, so their output is grouped by increasing k and lexicographic
+within a group, and check each chain once: enumerate_D yields the bare
+steps after check_steps on their shear, enumerate_polygons a ChainPolygon
+per chain, and records_for a record, with no ChainPolygon built.
 
 Slopes are compared by integer cross products throughout. With a step's
 first coordinate fixed, its second runs over a range whose two bounds are
@@ -137,6 +135,7 @@ def region_C(max_x: int, max_y: int, max_sum: int) -> dict:
     return {(x, y): counts for x, row in rows.items() for y, counts in row.items()}
 
 
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def enumerate_D(i: int, n: int) -> Iterator[Steps]:
     """The steps of every element of the D family for (i, n), each exactly
     once. A D chain has steps (a, b), each 1 <= a < b, with slopes a/b

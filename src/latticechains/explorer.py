@@ -61,6 +61,7 @@ class Signature(FrozenSlots):
         return Signature(tuple(set(self.pairs)))
 
 
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def triangle_signature(m: int, n: int) -> Signature:
     return Signature(tuple(signature(TriangleSpec(m, n)).elements()))
 

@@ -4,10 +4,10 @@ Everything here is integer arithmetic: orientation tests are cross
 products, areas are doubled to stay integral, and lattice counts come
 from gcds and Pick's theorem. No floating point anywhere.
 
-The one chain rule, check_steps, the one pair of chain sums,
-pair_cross_sum and pair_gcd_sum, the Pick arithmetic on them, chain_stats,
-and the vertices of a chain, chain_vertices, are written here over step
-tuples.
+The one chain rule, check_steps, the one check of a vertex chain,
+chain_steps, which ChainPolygon and the record loaders share, the chain
+sums pair_cross_sum and pair_gcd_sum, the Pick arithmetic on them,
+chain_stats, and a chain's vertices, chain_vertices, are written here.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ Point = tuple[int, int]  # a point of the integer lattice Z^2
 Steps = tuple[tuple[int, int], ...]  # the steps (x, y) of a chain, in order
 
 
-def _require_point(p) -> None:
-    """Raise TypeError unless p is an (x, y) tuple of ints; bool is refused,
-    since a record would write True as the JSON literal true."""
-    if not (isinstance(p, tuple) and len(p) == 2
-            and type(p[0]) is int and type(p[1]) is int):
-        raise TypeError(f"a lattice point is an (x, y) tuple of ints, got {p!r}")
+def _require_points(points) -> None:
+    """Raise TypeError unless every point is an (x, y) tuple of ints; bool is
+    refused, since a record would write True as the JSON literal true."""
+    for p in points:
+        if not (isinstance(p, tuple) and len(p) == 2
+                and type(p[0]) is int and type(p[1]) is int):
+            raise TypeError(f"a lattice point is an (x, y) tuple of ints, got {p!r}")
 
 
 def check_steps(steps: Steps) -> None:
@@ -44,6 +45,21 @@ def check_steps(steps: Steps) -> None:
     for (x1, y1), (x2, y2) in zip(steps, steps[1:]):
         if x1 * y2 - x2 * y1 <= 0:
             raise ValueError(f"slopes must strictly increase: ({x1},{y1}) then ({x2},{y2})")
+
+
+def chain_steps(vertices: tuple[Point, ...]) -> Steps:
+    """The steps between these vertices, once they pass the one check of a
+    vertex chain: each a lattice point, at least 2, the first (0,0), and the
+    differences a chain that check_steps accepts. Callers check the end."""
+    _require_points(vertices)
+    if len(vertices) < 2:
+        raise ValueError("a chain needs at least 2 vertices")
+    if vertices[0] != (0, 0):
+        raise ValueError(f"a chain must start at (0,0), got {vertices[0]}")
+    # a list comprehension: on this per-polygon path a generator is slower
+    steps = tuple([(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])])
+    check_steps(steps)
+    return steps
 
 
 def pair_cross_sum(steps: Steps) -> int:
@@ -141,6 +157,7 @@ class TriangleSpec(FrozenSlots):
     def corners(self) -> tuple[Point, Point, Point]:
         return ((0, 0), (self.i, 0), (self.i, self.j))
 
+    # only convex_hull_chain calls this; it goes with it (ROADMAP item 5)
     def contains_interior(self, p: Point) -> bool:
         """Strict interior: strictly below the hypotenuse, above y=0, left of x=i."""
         x, y = p
@@ -152,9 +169,9 @@ class ChainPolygon(FrozenSlots):
     from (0,0) to (i,j); the closing hypotenuse edge is implicit.
 
     A 2-vertex chain is the degenerate 2-gon equal to the hypotenuse itself.
-    The vertex differences, kept as steps, must pass check_steps. So every
-    intermediate vertex has y >= 1 and x <= i - 1, and lies strictly below
-    the hypotenuse, as each step before it is flatter than each one after.
+    The vertices must pass chain_steps, whose steps are kept, and end at
+    (i,j): every intermediate vertex has y >= 1 and x <= i - 1 and lies
+    strictly below the hypotenuse, each step before it flatter than each after.
     """
 
     __slots__ = ("vertices", "spec", "steps")
@@ -162,17 +179,9 @@ class ChainPolygon(FrozenSlots):
 
     def __init__(self, vertices: tuple[Point, ...], spec: TriangleSpec):
         verts = tuple(vertices)
-        for v in verts:
-            _require_point(v)
-        if len(verts) < 2:
-            raise ValueError("chain needs at least 2 vertices")
-        if verts[0] != (0, 0):
-            raise ValueError(f"chain must start at (0,0), got {verts[0]}")
+        steps = chain_steps(verts)
         if verts[-1] != (spec.i, spec.j):
             raise ValueError(f"chain must end at ({spec.i},{spec.j}), got {verts[-1]}")
-        # a list comprehension: on this per-polygon path a generator is slower
-        steps = tuple([(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:])])
-        check_steps(steps)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "steps", steps)
@@ -241,8 +250,7 @@ def lower_hull(points) -> tuple[Point, ...]:
     the chain of its vertices from the first point to the last (Andrew's
     monotone chain). A point on or above the segment between its hull
     neighbours is dropped, so collinear middle points are too. The points
-    are not checked; a caller validates the hull by building a ChainPolygon
-    of it, as convex_hull_chain and montecarlo.simulate do."""
+    are not checked: a ChainPolygon of the hull checks it."""
     hull: list[Point] = []
     for point in points:
         x, y = point
@@ -257,6 +265,7 @@ def lower_hull(points) -> tuple[Point, ...]:
     return tuple(hull)
 
 
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
     """Chain polygon whose closed region is the convex hull of (0,0), (i,j)
     and the chosen points.
@@ -268,10 +277,9 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
     extreme or not. Collinear non-extreme points are dropped. An empty
     selection yields the 2-gon.
     """
-    coords = {(0, 0), (spec.i, spec.j)}
+    chosen = list(chosen)
+    _require_points(chosen)
     for p in chosen:
-        _require_point(p)
         if not spec.contains_interior(p):
             raise ValueError(f"point {p} is not strictly interior to the triangle")
-        coords.add(p)
-    return ChainPolygon(lower_hull(sorted(coords)), spec)
+    return ChainPolygon(lower_hull(sorted({(0, 0), (spec.i, spec.j), *chosen})), spec)

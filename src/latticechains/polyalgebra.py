@@ -111,7 +111,7 @@ class _Poly:
     def __eq__(self, other):
         return type(self) is type(other) and self._coeffs == other._coeffs
 
-    # no fold adds or multiplies; these stay while perfbench wraps them (ROADMAP item 4)
+    # no fold adds or multiplies; these stay while perfbench wraps them (ROADMAP item 5)
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -190,7 +190,7 @@ class UnitPoly(_Poly):
         return "x" if e == 1 else f"x^{e}"
 
 
-# no fold calls this; it stays while perfbench wraps it (ROADMAP item 4)
+# no fold calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def term_x_pow_times_one_minus_x_pow(a: int, b: int) -> UnitPoly:
     """Expansion of x^a * (1-x)^b with exact signed binomial coefficients."""
     if a < 0 or b < 0:

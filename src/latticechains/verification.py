@@ -119,11 +119,13 @@ def rhs_main(i: int, n: int) -> QHalfPoly:
     return QHalfPoly.monomial(i * (n - i) - n + 2)
 
 
+# only the unit sums and triangle_signature call this; it goes with them (ROADMAP item 5)
 def signature(spec: TriangleSpec) -> Counter:
     """{(u(P), v(P)-2): mult} over the polygon family of the triangle."""
     return key_signature(_term_keys(chains_C(spec.i, spec.j)), spec)
 
 
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def lhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
     return QHalfPoly.fold_terms(_q_terms(_term_keys(chains_C(spec.i, spec.j)), spec.g + 2))
 
@@ -132,11 +134,13 @@ def rhs_main_via_polygons(spec: TriangleSpec) -> QHalfPoly:
     return QHalfPoly.monomial(spec.i * spec.j - spec.n + spec.g + 4)
 
 
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def unit_sum(spec: TriangleSpec) -> UnitPoly:
     """Sum of x^u(P) * (1-x)^(v(P)-2) over the polygon family."""
     return UnitPoly.fold_terms(signature(spec))
 
 
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def unit_sum_process(spec: TriangleSpec) -> UnitPoly:
     """Same family, factors swapped: sum of (1-x)^u(P) * x^(v(P)-2)."""
     return UnitPoly.fold_terms(_swapped(signature(spec)))

@@ -2,7 +2,8 @@
 command-line values, and for the record files it writes. Every input is
 either accepted or refused with a ValueError; none may escape as another
 exception. Each writer gives its standard-library oracle's bytes, and the
-record check accepts what its polygon-building oracle accepts."""
+record check accepts what its longhand oracle accepts (the tests' "polygon
+route", which once built a ChainPolygon per record)."""
 
 import argparse
 import csv

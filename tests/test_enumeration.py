@@ -14,6 +14,7 @@ from latticechains.enumeration import (
     chains_D,
     enumerate_D,
     enumerate_polygons,
+    region_C,
 )
 from latticechains.geometry import (
     ChainPolygon,
@@ -225,6 +226,20 @@ def test_enumerate_polygons_counts():
     assert len(list(enumerate_polygons(TriangleSpec(1, 1)))) == 1
     assert len(list(enumerate_polygons(TriangleSpec(2, 3)))) == 2
     assert len(list(enumerate_polygons(TriangleSpec(3, 4)))) == 4
+
+
+def test_family_sizes_are_symmetric_monotone_and_closed_form_for_short_legs():
+    # N(m, n), the C family size of (m, n), from one walk over the 14 x 14 box
+    hists = region_C(14, 14, 28)
+    size = {mn: sum(counts.values()) for mn, counts in hists.items()}
+    assert size[8, 9] == 149 and size[14, 14] == 5_989
+    for m in range(1, 15):
+        for n in range(1, 15):
+            assert size[m, n] == size[n, m]  # reflect the chain and reverse it
+            if n < 14:
+                assert size[m, n] <= size[m, n + 1]  # add 1 to the last step's y
+        assert size[1, m] == 1
+        assert size[2, m] == 1 + (m - 1) // 2
 
 
 @pytest.mark.parametrize("i,j", [(2, 2), (3, 4), (4, 3), (5, 5), (4, 6), (6, 6)])

@@ -152,6 +152,24 @@ def test_each_mask_is_tallied_as_its_validated_hull(i):
             assert _hull_counts({mask: 3}, spec) == {convex_hull_chain(chosen, spec): 3}
 
 
+def test_hull_counts_give_the_exact_law_over_every_mask():
+    # each mask S once, weighted num^|S| * (den-num)^(I_T-|S|): the table
+    # must be den^I_T * prob(P) on every family member, and hold nothing else
+    specs = [spec for i in range(1, 12) for j in range(1, 12)
+             if (spec := TriangleSpec(i, j)).interior_count <= 12]
+    assert len(specs) == 74
+    for x in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
+        num, den = x.numerator, x.denominator
+        for spec in specs:
+            n = spec.interior_count
+            tally = {}
+            for mask in range(1 << n):
+                chosen = bin(mask).count("1")
+                tally[mask] = num ** chosen * (den - num) ** (n - chosen)
+            expected = {p: den ** n * exact_prob(p, x) for p in enumerate_polygons(spec)}
+            assert _hull_counts(tally, spec) == expected, (spec, x)
+
+
 def test_collinear_chosen_points_leave_the_hull():
     # (2,1) lies on the edge from (0,0) to (4,2), so it is no vertex
     spec = TriangleSpec(6, 4)
