@@ -18,11 +18,11 @@ theorem into one shared coefficient dict, and the polynomial is built once.
 ``UnitPoly`` folds y = x, step = 1, ``QHalfPoly`` y = v, step = -2, since
 (q - 1)^(k-1) * q^(d/2) = v^(d + 2k - 2) * (1 - v^-2)^(k-1).
 
-A check only asks whether a form equals its monomial: ``fold_equals``
-answers from the same histogram by evaluating the form, by Horner, at a
-power of two wide enough that equal integers mean equal polynomials
-(Kronecker substitution). ``fold_terms`` still expands a form that is
-printed, and the single-form functions of verification.
+A check only asks whether a form equals its monomial: ``packed_equals``
+answers from its (a, b, mult) terms mult * z^a * (1 - z)^b by one Horner at
+a power of two wide enough that equal integers mean equal polynomials
+(Kronecker substitution), and ``fold_equals`` adapts it to a histogram.
+``fold_terms`` expands a printed form and the single forms of verification.
 """
 
 from __future__ import annotations
@@ -37,14 +37,9 @@ class _Poly:
     _allow_negative = True
 
     def __init__(self, coeffs=None):
-        items = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c == 0:
-                    continue
-                if e < 0 and not self._allow_negative:
-                    raise ValueError(f"negative exponent {e} not allowed for {type(self).__name__}")
-                items[e] = c
+        items = {e: c for e, c in (coeffs or {}).items() if c}
+        if not self._allow_negative and min(items, default=0) < 0:
+            raise ValueError(f"negative exponent {min(items)} not allowed for {type(self).__name__}")
         self._coeffs = items
 
     @classmethod
@@ -69,40 +64,17 @@ class _Poly:
     @classmethod
     def fold_equals(cls, histogram, target) -> bool:
         """fold_terms(histogram) == target, for a monomial target c * y^e and
-        a histogram of positive multiplicities and powers >= 0, without
-        expanding any term.
-
-        With z = y^step, each term is mult * z^a * (1 - z)^b, a >= 0 counted
-        from the extreme shift. Level b packs into P_b = sum of
-        mult * 2^(W*a), and Horner runs r = r - (r << W) + P_b from the top
-        level down: the fold at z = 2^W. Each coefficient of fold - target is
-        at most sum(mult) * 2^b + |c| < 2^(W-1) in size, so equal integers
-        mean equal polynomials. Positive multiplicities make the early
-        refusals exact: a term a parity apart (q) leaves a nonzero part off
-        the target's exponents, and a target past the extreme shift misses
-        the fold's nonzero coefficient there. A negative power, outside the
-        domain, is refused rather than packed at a wrong level.
-        """
+        positive multiplicities, by packed_equals with z = y^step and
+        a = (shift - e)/step. A term a parity apart (q) is refused: it leaves
+        a nonzero part off the target's exponents."""
         [(e, c)] = target._coeffs.items()
-        if not histogram:
-            return False
-        step = cls._step
-        base = (min(histogram) if step > 0 else max(histogram))[0]
-        t, off = divmod(e - base, step)
-        if off or t < 0:
-            return False
-        top = max(power for _, power in histogram)
-        width = (sum(histogram.values()) + abs(c)).bit_length() + top + 2
-        levels = [0] * (top + 1)
+        terms = []
         for (shift, power), mult in histogram.items():
-            a, off = divmod(shift - base, step)
-            if off or power < 0:
+            a, off = divmod(shift - e, cls._step)
+            if off:
                 return False
-            levels[power] += mult << (width * a)
-        r = 0
-        for packed in reversed(levels):
-            r = r - (r << width) + packed
-        return r == c << (width * t)
+            terms.append((a, power, mult))
+        return packed_equals(terms, c, 0)
 
     def items(self):
         """(exponent, coefficient) pairs in decreasing exponent order."""
@@ -188,6 +160,34 @@ class UnitPoly(_Poly):
         if e == 0:
             return ""
         return "x" if e == 1 else f"x^{e}"
+
+
+def packed_equals(terms, c: int, t: int) -> bool:
+    """Whether the sum of mult * z^a * (1 - z)^b over a list of (a, b, mult)
+    terms, mult > 0, equals c * z^t, c != 0, as Laurent polynomials in z.
+
+    With a counted from the least of t and every a, level b packs into
+    P_b = sum of mult * 2^(W*a), and Horner runs r = r - (r << W) + P_b from
+    the top level down: the form at z = 2^W. With W = bits(sum(mult) + |c|)
+    + max b + 2, each coefficient of form - target is below 2^(W-1) in size,
+    so equal integers mean equal polynomials. A power b < 0 is refused."""
+    low, top, total = t, 0, 0
+    for a, b, mult in terms:
+        total += mult
+        if a < low:
+            low = a
+        if b > top:
+            top = b
+        elif b < 0:
+            return False
+    width = (total + abs(c)).bit_length() + top + 2
+    levels = [0] * (top + 1)
+    for a, b, mult in terms:
+        levels[b] += mult << (width * (a - low))
+    r = 0
+    for packed in reversed(levels):
+        r = r - (r << width) + packed
+    return r == c << (width * (t - low))
 
 
 # no fold calls this; it stays while perfbench wraps it (ROADMAP item 5)

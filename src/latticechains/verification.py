@@ -6,41 +6,34 @@ which must equal the single monomial q^((i*j - n)/2 + 1), j = n - i.
 
 Form 2 (polygon family): sum over enumerate_polygons of
     (q - 1)^(k-1) * q^(-(k-1) + interior(P) + boundary(P))
-which must equal q^((i*j - n + gcd(i,j))/2 + 2). The two forms differ by
-the factor q^(1 + gcd(i,j)/2), termwise, via the Pick-type exponent
-identity (see tests).
+which must equal q^((i*j - n + gcd(i,j))/2 + 2): termwise, form 1 times
+q^(1 + gcd(i,j)/2), by the Pick-type exponent identity (see tests).
 
 Form 3 (unit sums): over the same polygons,
     sum x^u(P) * (1-x)^(v(P)-2)  ==  1  ==  sum (1-x)^u(P) * x^(v(P)-2).
 
-All comparisons are exact polynomial equalities. Half-integer q-exponents
-are carried as doubled integers, so every coefficient stays an int.
-
-Every form is one shift of a key histogram {(key, k): mult}, where
-key = cross + gcdsum over a chain's bare steps. verify_all counts one pair's
-two histograms straight off the unsorted targeted walks chains_D and
-chains_C; verify_up_to counts every pair's from one region walk per family,
-region_D and region_C, and holds them all before its first report. Both
-routes give the same histograms to check_histograms, which holds the five
-checks. Each check compares a form with its monomial by fold_equals, one
-packed Horner evaluation per form, and fold_terms expands a form only to
-print a failing lhs and in the public single-form functions.
+All comparisons are exact, half-integer q-exponents doubled into ints. Every
+form is one shift of a key histogram {(key, k): mult}, key = cross + gcdsum
+over a chain's bare steps. verify_all counts a pair's two off the targeted
+walks chains_D and chains_C; verify_up_to counts every pair's from one region
+walk per family, region_D and region_C, before its first report.
+check_histograms' five checks each pack a form's terms straight from a
+histogram into one polyalgebra.packed_equals; fold_terms expands a form only
+to print a failing lhs and in the public single-form functions.
 
 Both sums survive the shear (a, b) -> (a, b - a) from D to C, and on a C
 chain they are its polygon's area2 and edge-gcd sum G. With q = v^2, a D
 term is v^key * (1 - v^-2)^(k-1). By Pick, 2(i(P) + b(P)) = key + g + 2
 (g = gcd(i,j)), the 2-gon included: the polygon form is the C histogram
-shifted by g + 2. The unit sums fold the signature, where
-u(P) = I_T - (key - g)/2 (I_T the triangle's interior count) and
-v(P) - 2 = k - 1. So polygon_form and unit_sum test one identity, and
-form_consistency ties the C family to the separately enumerated D family:
-as the shear keeps each chain's (key, k), their key histograms must be
-equal. That states the bijection itself; equal folds would not, as the
-fold has a kernel, v^s(1-v^-2)^p = v^s(1-v^-2)^(p+1) + v^(s-2)(1-v^-2)^p.
-No chain polygon is built on this path, and check_steps runs on no
-chain: the walks' step conditions are the chain rule. A failed report's
-per-term ledger lists the targeted walk chains_D, unvalidated: the walk
-verify_all's checks read, but not the region walk a sweep's checks read.
+shifted by g + 2. The unit sums fold the signature, u(P) = I_T - (key - g)/2
+(I_T the triangle's interior count) and v(P) - 2 = k - 1; every form, and
+key_signature, refuses a key off Pick's parity, key - g odd. polygon_form
+and unit_sum test one identity; form_consistency ties the C family to the
+separately enumerated D family: the shear keeps each chain's (key, k), so
+the key histograms must be equal. That states the bijection itself; equal
+folds would not, as the fold has a kernel, v^s(1-v^-2)^p =
+v^s(1-v^-2)^(p+1) + v^(s-2)(1-v^-2)^p. No chain polygon is built and
+check_steps runs on no chain: the walks' step conditions are the chain rule.
 """
 
 from __future__ import annotations
@@ -50,16 +43,10 @@ from typing import NamedTuple, Optional
 
 from .enumeration import chains_C, chains_D, region_C, region_D
 from .geometry import Steps, TriangleSpec, pair_cross_sum, pair_gcd_sum
-from .polyalgebra import QHalfPoly, UnitPoly
+from .polyalgebra import QHalfPoly, UnitPoly, packed_equals
 
 # names of check_histograms' checks, in the order they run
-CHECK_NAMES = (
-    "d_form",
-    "polygon_form",
-    "unit_sum",
-    "unit_sum_process",
-    "form_consistency",
-)
+CHECK_NAMES = ("d_form", "polygon_form", "unit_sum", "unit_sum_process", "form_consistency")
 
 
 class IdentityReport(NamedTuple):
@@ -79,11 +66,9 @@ class IdentityReport(NamedTuple):
 
     @property
     def per_term_ledger(self) -> tuple:
-        """(steps, doubled exponent, k) per D term, grouped by increasing k;
-        the walk chains_D runs again on each access and no chain is
-        validated, so verify_all's wrong walk is listed as the checks read
-        it. A report from verify_up_to lists chains_D too, not the region
-        walk's histogram that its checks read."""
+        """(steps, doubled exponent, k) per D term, by increasing k, from
+        chains_D run again, unvalidated: as verify_all's checks read it, but
+        not the region walk a sweep's checks read."""
         return tuple((steps, d_term_doubled_exponent(steps), len(steps))
                      for steps in sorted(chains_D(self.spec.i, self.spec.n), key=len))
 
@@ -103,9 +88,15 @@ def _q_terms(keys, shift: int) -> dict:
 
 
 def key_signature(keys, spec: TriangleSpec) -> Counter:
-    """{(u(P), v(P)-2): mult} from the C family's key histogram."""
-    return Counter({(spec.interior_count - (key - spec.g) // 2, k - 1): mult
-                    for (key, k), mult in keys.items()})
+    """{(u(P), v(P)-2): mult} from the C family's key histogram; a key off
+    Pick's parity, key - g odd, is a ValueError."""
+    sig = Counter()
+    for (key, k), mult in keys.items():
+        half, odd = divmod(key - spec.g, 2)
+        if odd:
+            raise ValueError(f"key {key} is off Pick's parity: key - g is odd, g = {spec.g}")
+        sig[spec.interior_count - half, k - 1] = mult
+    return sig
 
 
 def _swapped(sig) -> dict:
@@ -146,24 +137,36 @@ def unit_sum_process(spec: TriangleSpec) -> UnitPoly:
     return UnitPoly.fold_terms(_swapped(signature(spec)))
 
 
+def _packs_to(keys, top: int, c: int, swapped: bool = False) -> bool:
+    """Whether z^h * (1 - z)^(k-1), or (1 - z)^h * z^(k-1) if swapped, summed
+    over the key histogram with h = (top - key)/2, is c; a key a parity apart
+    is refused. With z = v^-2 and top = e - shift it is a q form against
+    c * v^e; with z = x and top = 2 I_T + g, h is u(P) and it is a unit sum."""
+    terms = []
+    for (key, k), mult in keys.items():
+        if (top - key) & 1:
+            return False
+        h = (top - key) >> 1
+        terms.append((k - 1, h, mult) if swapped else (h, k - 1, mult))
+    return packed_equals(terms, c, 0)
+
+
 def check_histograms(i: int, n: int, d_keys, c_keys) -> IdentityReport:
-    """Run all five identity checks on the key histograms of the D family of
+    """Run the five identity checks on the key histograms of the D family of
     (i, n) and the C family of its triangle; a violation is reported, never
-    raised. Each form is one shift of a histogram, compared with its
-    monomial by fold_equals; only a failing lhs is expanded, to be printed.
-    """
+    raised, and only a failing lhs is expanded, to be printed."""
     rhs = rhs_main(i, n)  # refuses a bad (i, n) first
     spec = TriangleSpec(i, n - i)
-    d_terms = _q_terms(d_keys, 0)
-    sig = key_signature(c_keys, spec)
+    [(e, c)], [(e_p, c_p)] = rhs.items(), rhs_main_via_polygons(spec).items()
+    u_top = 2 * spec.interior_count + spec.g  # u(P) = I_T - (key - g)/2
     checks = tuple(zip(CHECK_NAMES, (
-        QHalfPoly.fold_equals(d_terms, rhs),
-        QHalfPoly.fold_equals(_q_terms(c_keys, spec.g + 2), rhs_main_via_polygons(spec)),
-        UnitPoly.fold_equals(sig, UnitPoly.one()),
-        UnitPoly.fold_equals(_swapped(sig), UnitPoly.one()),
+        _packs_to(d_keys, e, c),
+        _packs_to(c_keys, e_p - spec.g - 2, c_p),
+        _packs_to(c_keys, u_top, 1),
+        _packs_to(c_keys, u_top, 1, swapped=True),
         d_keys == c_keys,
     )))
-    lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(d_terms)
+    lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(_q_terms(d_keys, 0))
     return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks)
 
 
@@ -174,11 +177,8 @@ def verify_all(i: int, n: int) -> IdentityReport:
 
 def verify_up_to(max_n: int):
     """The reports of every pair 1 <= i < n <= max_n, ordered by n, then i.
-
-    Each family is counted by one region walk over the whole sweep, and
-    both walks finish, holding every pair's histograms, before the first
-    report is checked.
-    """
+    Each family is counted by one region walk over the whole sweep, and both
+    walks finish, holding every pair's histograms, before the first check."""
     d_hists = region_D(max_n)
     c_hists = region_C(max_n - 1, max_n - 1, max_n)
     return (check_histograms(i, n, d_hists[i, n], c_hists[i, n - i])

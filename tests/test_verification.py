@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from latticechains import cli, enumeration, geometry
+from latticechains import cli, enumeration, geometry, verification
 from latticechains.cli import records_for
 from latticechains.explorer import triangle_signatures
 from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
@@ -23,7 +25,9 @@ from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
     CHECK_NAMES,
     _term_keys,
+    check_histograms,
     d_term_doubled_exponent,
+    key_signature,
     lhs_main_via_polygons,
     rhs_main,
     rhs_main_via_polygons,
@@ -34,10 +38,11 @@ from latticechains.verification import (
     verify_up_to,
 )
 
+from check_oracles import checks_oracle
 from scan_oracles import segment_lattice_count
 from test_enumeration import oracle_D
 from test_geometry import oracle_boundary_scan, oracle_interior_scan
-from test_polyalgebra import Q_MINUS_ONE, evaluate, power
+from test_polyalgebra import Q_MINUS_ONE, SETTINGS, evaluate, power
 
 
 def oracle_lhs_coeffs(i, n):
@@ -274,6 +279,89 @@ def test_verify_checks_no_chain_and_builds_no_object(monkeypatch):
         for i in range(1, n):
             assert verify_all(i, n).all_passed
     assert counts == {}  # the parent checked |D| + |C| = 611 + 611 chains
+
+
+def test_a_passing_sweep_builds_no_term_dict(monkeypatch):
+    counts = Counter()
+    for name in ("_q_terms", "key_signature", "_swapped"):
+        def counting(*args, name=name, real=getattr(verification, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verification, name, counting)
+    assert all(report.all_passed for report in verify_up_to(13))
+    # checks built on term dicts made 2 * 78 q-term dicts, 78 signatures
+    # and 78 swapped signatures here
+    assert counts == {}
+
+
+def test_checks_match_the_term_dict_oracle_on_every_pair():
+    d_hists, c_hists = region_D(16), region_C(15, 15, 16)
+    for n in range(2, 17):
+        for i in range(1, n):
+            d_keys, c_keys = d_hists[i, n], c_hists[i, n - i]
+            expected = checks_oracle(i, n, d_keys, c_keys)
+            assert check_histograms(i, n, d_keys, c_keys).checks == expected, (i, n)
+
+
+SMALL_D, SMALL_C = region_D(9), region_C(8, 8, 9)
+# (kind, pick, delta, mult): one edit of one term, or one term added
+EDITS = st.lists(st.tuples(st.sampled_from(("key", "k", "mult", "drop", "add")),
+                           st.integers(0, 99), st.sampled_from((-2, -1, 1, 2)),
+                           st.integers(1, 2**64)), max_size=2)
+
+
+def edited(keys, edits, empty: bool) -> Counter:
+    """The histogram with its picked terms' keys moved by delta, their k by
+    +-1, their multiplicities changed, or dropped, and the terms added."""
+    hist = Counter() if empty else Counter(keys)
+    for kind, pick, delta, mult in edits:
+        if kind == "add" or not hist:
+            hist[pick, delta + 3] += mult
+            continue
+        key, k = sorted(hist)[pick % len(hist)]
+        old = hist.pop((key, k))
+        if kind == "key":
+            hist[key + delta, k] += old
+        elif kind == "k":
+            hist[key, k + (1 if delta > 0 else -1)] += old
+        elif kind == "mult":
+            hist[key, k] = old + delta if old + delta > 0 else mult
+    return hist
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SMALL_D)), EDITS, EDITS, st.booleans(), st.booleans())
+def test_checks_match_the_term_dict_oracle_on_edited_histograms(pair, d_edits, c_edits,
+                                                                d_empty, c_empty):
+    # the one difference allowed: a C key off Pick's parity, which the
+    # oracle's floored signature moves onto a neighbouring term
+    i, n = pair
+    d_keys = edited(SMALL_D[i, n], d_edits, d_empty)
+    c_keys = edited(SMALL_C[i, n - i], c_edits, c_empty)
+    expected = dict(checks_oracle(i, n, d_keys, c_keys))
+    if any((key - gcd(i, n - i)) & 1 for key, _ in c_keys):
+        expected["unit_sum"] = expected["unit_sum_process"] = False
+    assert check_histograms(i, n, d_keys, c_keys).checks == tuple(expected.items())
+
+
+def test_a_key_off_picks_parity_fails_every_form_it_is_in():
+    # every key moved by +-1, at every pair with n <= 12, in both histograms:
+    # unit sums that floor (key - g) // 2 pass 333 of these 666 moves
+    moves = 0
+    for (i, j), keys in region_C(11, 11, 12).items():
+        for (key, k), mult in keys.items():
+            for delta in (-1, 1):
+                moved = Counter(keys)
+                del moved[key, k]
+                moved[key + delta, k] += mult
+                checks = check_histograms(i, i + j, moved, moved).checks
+                failed = [name for name, ok in checks if not ok]
+                assert failed == list(CHECK_NAMES[:4]), (i, j, key, delta)
+                with pytest.raises(ValueError, match="parity"):
+                    key_signature(moved, TriangleSpec(i, j))
+                moves += 1
+    assert moves == 666
 
 
 def test_triangle_signatures_check_no_chain_and_build_no_object(monkeypatch):
