@@ -24,81 +24,13 @@ import math
 import os
 import sys
 from fractions import Fraction
-from operator import itemgetter
-from typing import NamedTuple
 
-from .enumeration import chains_C, enumerate_polygons
-from .geometry import (ChainPolygon, PolygonStats, TriangleSpec, chain_stats, chain_steps, chain_vertices,
-                       check_steps, triangle_interior_points)
+from .enumeration import enumerate_polygons
+from .geometry import (CSV_COLUMNS, FIELDS, PolygonRecord, PolygonStats, TriangleSpec, _points,
+                       triangle_interior_points)
 from .montecarlo import STREAM, SimulationConfig, compare, simulate
 from .explorer import _NODE_CAP, SearchCapExceeded, match_signature, search_unit_multisets, triangle_signatures
 from .verification import verify_all, verify_up_to
-
-# The record schema: each JSON key and CSV column, in CSV column order, which
-# is PolygonStats' field order: the key at each place holds the field at that
-# place. The vertices are the last CSV column and the first JSON key.
-FIELDS = ("k", "vCount", "iP", "bP", "area2", "u", "exponentDoubled")
-CSV_COLUMNS = [*FIELDS, "vertices"]
-_JSON_KEYS = frozenset(CSV_COLUMNS)
-_json_fields = itemgetter(*FIELDS)
-
-
-class PolygonRecord(NamedTuple):
-    """A serialized polygon: its vertices and the polygon_stats of the chain
-    they form, so every statistic is recomputable."""
-
-    vertices: tuple
-    stats: PolygonStats
-
-    # no command calls this; it stays while perfbench/child.py calls it (ROADMAP item 5)
-    def to_json_obj(self) -> dict:
-        return {"vertices": [list(v) for v in self.vertices],
-                **dict(zip(FIELDS, self.stats))}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PolygonRecord":
-        """The record a JSON object stands for, unchecked: validate checks it."""
-        if not isinstance(obj, dict):
-            raise TypeError(f"expected a JSON object, got {obj!r}")
-        extra = obj.keys() - _JSON_KEYS
-        if extra:
-            raise ValueError(f"unexpected keys {sorted(extra)}")
-        return cls(_points(obj["vertices"]), PolygonStats(*_json_fields(obj)))
-
-    def validate(self, specs: dict | None = None) -> None:
-        """The one check of a record: every stats field an int (bool refused:
-        a writer would emit True as the JSON literal true), the vertices a
-        chain that geometry.chain_steps accepts, and chain_stats of its steps
-        equal to the stats, else the record is corrupt. A loader passes one
-        `specs` dict for all its records: one triangle per distinct end."""
-        vertices, stats = self
-        for value in stats:
-            if type(value) is not int:
-                raise TypeError(f"stats fields must be ints, got {value!r}")
-        steps = chain_steps(vertices)
-        if specs is None:
-            specs = {}
-        end = vertices[-1]
-        spec = specs.get(end) or specs.setdefault(end, TriangleSpec(*end))
-        if chain_stats(steps, spec) != stats:
-            raise ValueError(f"record fields disagree with recomputation: {self}")
-
-
-def _points(raw) -> tuple:
-    """A record's vertices as read from JSON, each pair as a tuple."""
-    return tuple([(x, y) for x, y in raw])
-
-
-def records_for(spec: TriangleSpec) -> list:
-    """The records of enumerate_polygons(spec), in its order, read off the
-    walk with no polygon built: each chain checked once by check_steps, its
-    vertices and stats computed from its steps."""
-    records = []
-    for steps in sorted(chains_C(spec.i, spec.j), key=len):
-        check_steps(steps)
-        records.append(PolygonRecord(chain_vertices(steps), chain_stats(steps, spec)))
-    return records
-
 
 def records_to_json(records) -> str:
     """json.dumps([r.to_json_obj() for r in records], indent=2) + "\n", byte
@@ -239,7 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    records = records_for(TriangleSpec(args.i, args.j))
+    records = enumerate_polygons(TriangleSpec(args.i, args.j))
     text = records_to_json(records) if args.format == "json" else records_to_csv(records)
     # ASCII slices of at most PIPE_BUF bytes (Linux): a pipe takes each whole
     # or raises, even unbuffered, where one short write would drop the rest
@@ -260,7 +192,7 @@ def cmd_simulate(args) -> int:
           f"seed = {config.seed}, stream = {STREAM}")
     print(f"{'polygon':<36} {'count':>9} {'empirical':>10} {'exact':>10} {'z':>8}")
     for row in report.rows:
-        name = "-".join(f"({x},{y})" for x, y in row.polygon.vertices)
+        name = "-".join(f"({x},{y})" for x, y in row.vertices)
         flag = "  <-- |z| above threshold" if row.flagged else ""
         print(f"{name:<36} {row.count:>9} {row.empirical:>10.6f} {str(row.exact):>10} {row.z:>+8.3f}{flag}")
     print(f"exact probabilities sum to 1: {'yes' if report.exact_total == 1 else 'NO (' + str(report.exact_total) + ')'}")
@@ -301,8 +233,7 @@ SCALE = 32
 PAD = 16
 
 
-def render_svg(p: ChainPolygon) -> str:
-    spec = p.spec
+def render_svg(vertices, spec: TriangleSpec) -> str:
     width = spec.i * SCALE + 2 * PAD
     height = spec.j * SCALE + 2 * PAD
 
@@ -313,7 +244,7 @@ def render_svg(p: ChainPolygon) -> str:
         return PAD + (spec.j - y) * SCALE
 
     tri = " ".join(f"{sx(x)},{sy(y)}" for x, y in spec.corners)
-    chain_pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.vertices)
+    chain_pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in vertices)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -327,7 +258,7 @@ def render_svg(p: ChainPolygon) -> str:
     ]
     for x, y in triangle_interior_points(spec):
         lines.append(f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="3" fill="#333333"/>')
-    for x, y in p.vertices:
+    for x, y in vertices:
         lines.append(f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="#b7791f"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -335,12 +266,12 @@ def render_svg(p: ChainPolygon) -> str:
 
 def cmd_render(args) -> int:
     spec = TriangleSpec(args.i, args.j)
-    for index, p in enumerate(enumerate_polygons(spec)):
+    for index, (vertices, _) in enumerate(enumerate_polygons(spec)):
         path = os.path.join(args.out_dir, f"poly_{index}.svg")
         try:
             os.makedirs(args.out_dir, exist_ok=True)
             with open(path, "w") as fh:
-                fh.write(render_svg(p))
+                fh.write(render_svg(vertices, spec))
         except OSError as exc:
             return refuse(f"cannot write under {args.out_dir}: {exc}")
         print(f"wrote {path}")

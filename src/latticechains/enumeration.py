@@ -15,12 +15,13 @@ yields bare step tuples, unvalidated, in lexicographic order. The walk
 visits every chain prefix once and closes it with the remainder as its last
 step; the remainder's first coordinate exceeds that of any step that could
 extend the prefix, so the closed chain comes after every extension. The
-proof of one pair in verification reads these walks directly. enumerate_D,
-enumerate_polygons and cli.records_for stable-sort the same walk by step
-count k, so their output is grouped by increasing k and lexicographic
-within a group, and check each chain once: enumerate_D yields the bare
-steps after check_steps on their shear, enumerate_polygons a ChainPolygon
-per chain, and records_for a record, with no ChainPolygon built.
+proof of one pair in verification reads these walks directly. enumerate_D
+and enumerate_polygons stable-sort the same walk by step count k, so their
+output is grouped by increasing k and lexicographic within a group, and
+check each chain once: enumerate_D yields the bare steps after check_steps
+on their shear, and enumerate_polygons, the one listing of a triangle's
+family that enumerate, render and simulate read, a geometry.PolygonRecord
+per chain.
 
 Slopes are compared by integer cross products throughout. With a step's
 first coordinate fixed, its second runs over a range whose two bounds are
@@ -53,7 +54,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator
 
-from .geometry import ChainPolygon, Steps, TriangleSpec, chain_vertices, check_steps
+from .geometry import PolygonRecord, Steps, TriangleSpec, chain_stats, chain_vertices, check_steps
 
 
 def chains_D(i: int, n: int) -> Iterator[Steps]:
@@ -146,8 +147,10 @@ def enumerate_D(i: int, n: int) -> Iterator[Steps]:
         yield steps
 
 
-def enumerate_polygons(spec: TriangleSpec) -> Iterator[ChainPolygon]:
-    """The full polygon family of the triangle (the 2-gon comes first),
-    each chain validated once, by ChainPolygon."""
+def enumerate_polygons(spec: TriangleSpec) -> Iterator[PolygonRecord]:
+    """The full polygon family of the triangle (the 2-gon comes first), one
+    record per chain: each chain checked once by check_steps, its vertices
+    and stats computed from its steps."""
     for steps in sorted(chains_C(spec.i, spec.j), key=len):
-        yield ChainPolygon(chain_vertices(steps), spec)
+        check_steps(steps)
+        yield PolygonRecord(chain_vertices(steps), chain_stats(steps, spec))

@@ -4,16 +4,19 @@ Everything here is integer arithmetic: orientation tests are cross
 products, areas are doubled to stay integral, and lattice counts come
 from gcds and Pick's theorem. No floating point anywhere.
 
-The one chain rule, check_steps, the one check of a vertex chain,
-chain_steps, which ChainPolygon and the record loaders share, the chain
-sums pair_cross_sum and pair_gcd_sum, the Pick arithmetic on them,
-chain_stats, and a chain's vertices, chain_vertices, are written here.
+A chain is its vertex tuple, from (0,0) to (i,j). The one chain rule,
+check_steps, the one check of a vertex chain, chain_steps, and of a chain
+of a given triangle, check_chain, the chain sums pair_cross_sum and
+pair_gcd_sum, the Pick arithmetic on them, chain_stats, a chain's
+vertices, chain_vertices, and a chain polygon's record, PolygonRecord,
+which enumerate_polygons lists and the record loaders check, are written
+here.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 
@@ -164,27 +167,17 @@ class TriangleSpec(FrozenSlots):
         return y > 0 and x < self.i and self.j * x - self.i * y > 0
 
 
-class ChainPolygon(FrozenSlots):
-    """A convex polygon inside the triangle, given as its chain of vertices
-    from (0,0) to (i,j); the closing hypotenuse edge is implicit.
-
-    A 2-vertex chain is the degenerate 2-gon equal to the hypotenuse itself.
-    The vertices must pass chain_steps, whose steps are kept, and end at
-    (i,j): every intermediate vertex has y >= 1 and x <= i - 1 and lies
-    strictly below the hypotenuse, each step before it flatter than each after.
-    """
-
-    __slots__ = ("vertices", "spec", "steps")
-    _fields = ("vertices", "spec")
-
-    def __init__(self, vertices: tuple[Point, ...], spec: TriangleSpec):
-        verts = tuple(vertices)
-        steps = chain_steps(verts)
-        if verts[-1] != (spec.i, spec.j):
-            raise ValueError(f"chain must end at ({spec.i},{spec.j}), got {verts[-1]}")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "steps", steps)
+def check_chain(vertices: tuple[Point, ...], spec: TriangleSpec) -> Steps:
+    """The steps of a chain polygon of spec's triangle: vertices that pass
+    chain_steps and end at (i,j). The closing hypotenuse edge is implicit,
+    and a 2-vertex chain is the degenerate 2-gon equal to the hypotenuse
+    itself. Every intermediate vertex then has y >= 1 and x <= i - 1 and
+    lies strictly below the hypotenuse, each step before it flatter than
+    each after."""
+    steps = chain_steps(vertices)
+    if vertices[-1] != (spec.i, spec.j):
+        raise ValueError(f"chain must end at ({spec.i},{spec.j}), got {vertices[-1]}")
+    return steps
 
 
 def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
@@ -240,9 +233,67 @@ def chain_stats(steps: Steps, spec: TriangleSpec) -> PolygonStats:
     return PolygonStats(k, k + 1, interior, boundary, area2, u, 2 * (interior + boundary - (k - 1)))
 
 
-def polygon_stats(poly: ChainPolygon) -> PolygonStats:
-    """The invariants of a validated chain polygon: chain_stats of its steps."""
-    return chain_stats(poly.steps, poly.spec)
+# The record schema: each JSON key and CSV column, in CSV column order, which
+# is PolygonStats' field order: the key at each place holds the field at that
+# place. The vertices are the last CSV column and the first JSON key.
+FIELDS = ("k", "vCount", "iP", "bP", "area2", "u", "exponentDoubled")
+CSV_COLUMNS = [*FIELDS, "vertices"]
+_JSON_KEYS = frozenset(CSV_COLUMNS)
+_json_fields = itemgetter(*FIELDS)
+
+
+class PolygonRecord(NamedTuple):
+    """A chain polygon as enumerate, render and simulate read it: its
+    vertices and the chain_stats of their steps, so every statistic is
+    recomputable."""
+
+    vertices: tuple
+    stats: PolygonStats
+
+    # no command calls this; it stays while perfbench/child.py calls it (ROADMAP item 5)
+    def to_json_obj(self) -> dict:
+        return {"vertices": [list(v) for v in self.vertices],
+                **dict(zip(FIELDS, self.stats))}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "PolygonRecord":
+        """The record a JSON object stands for, unchecked: validate checks it."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {obj!r}")
+        extra = obj.keys() - _JSON_KEYS
+        if extra:
+            raise ValueError(f"unexpected keys {sorted(extra)}")
+        return cls(_points(obj["vertices"]), PolygonStats(*_json_fields(obj)))
+
+    def validate(self, specs: dict | None = None) -> None:
+        """The one check of a record: every stats field an int (bool refused:
+        a writer would emit True as the JSON literal true), the vertices a
+        chain that chain_steps accepts, and chain_stats of its steps
+        equal to the stats, else the record is corrupt. A loader passes one
+        `specs` dict for all its records: one triangle per distinct end."""
+        vertices, stats = self
+        for value in stats:
+            if type(value) is not int:
+                raise TypeError(f"stats fields must be ints, got {value!r}")
+        steps = chain_steps(vertices)
+        if specs is None:
+            specs = {}
+        end = vertices[-1]
+        spec = specs.get(end) or specs.setdefault(end, TriangleSpec(*end))
+        if chain_stats(steps, spec) != stats:
+            raise ValueError(f"record fields disagree with recomputation: {self}")
+
+
+def _points(raw) -> tuple:
+    """A record's vertices as read from JSON, each pair as a tuple."""
+    return tuple([(x, y) for x, y in raw])
+
+
+# no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
+def polygon_stats(vertices: tuple[Point, ...], spec: TriangleSpec) -> PolygonStats:
+    """The invariants of the chain polygon with these vertices, once
+    check_chain accepts them: chain_stats of its steps."""
+    return chain_stats(check_chain(vertices, spec), spec)
 
 
 def lower_hull(points) -> tuple[Point, ...]:
@@ -250,7 +301,7 @@ def lower_hull(points) -> tuple[Point, ...]:
     the chain of its vertices from the first point to the last (Andrew's
     monotone chain). A point on or above the segment between its hull
     neighbours is dropped, so collinear middle points are too. The points
-    are not checked: a ChainPolygon of the hull checks it."""
+    are not checked: check_chain of the hull checks it."""
     hull: list[Point] = []
     for point in points:
         x, y = point
@@ -266,9 +317,9 @@ def lower_hull(points) -> tuple[Point, ...]:
 
 
 # no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
-def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
-    """Chain polygon whose closed region is the convex hull of (0,0), (i,j)
-    and the chosen points.
+def convex_hull_chain(chosen, spec: TriangleSpec) -> tuple[Point, ...]:
+    """The vertices of the chain polygon whose closed region is the convex
+    hull of (0,0), (i,j) and the chosen points, checked by check_chain.
 
     The chosen points must be strictly interior to the triangle; they then
     all lie strictly below the hypotenuse, so the hull's upper boundary is
@@ -282,4 +333,6 @@ def convex_hull_chain(chosen, spec: TriangleSpec) -> ChainPolygon:
     for p in chosen:
         if not spec.contains_interior(p):
             raise ValueError(f"point {p} is not strictly interior to the triangle")
-    return ChainPolygon(lower_hull(sorted({(0, 0), (spec.i, spec.j), *chosen})), spec)
+    hull = lower_hull(sorted({(0, 0), (spec.i, spec.j), *chosen}))
+    check_chain(hull, spec)
+    return hull

@@ -34,8 +34,8 @@ bit, and one subtraction finds every column's at once), and the counts
 are summed per set of minima. Each set, already in lexicographic order
 between (0,0) and (i,j), goes straight to geometry.lower_hull with no
 sort and no checks, and the counts are summed per vertex tuple. Only
-then is one ChainPolygon built per distinct chain: the public
-constructor still validates every hull in the table, once. At (5,7),
+then is each distinct chain checked, once, by geometry.check_chain: the
+table's keys are vertex tuples, as enumerate_polygons lists them. At (5,7),
 x = 1/3, 20,000 trials and seed 7, 3,289 masks give 180 sets of column
 minima and 23 hulls.
 """
@@ -53,8 +53,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .enumeration import enumerate_polygons
-from .geometry import (ChainPolygon, FrozenSlots, TriangleSpec, lower_hull, polygon_stats,
-                       triangle_interior_points)
+from .geometry import FrozenSlots, PolygonStats, TriangleSpec, check_chain, lower_hull, triangle_interior_points
 
 
 class SimulationConfig(FrozenSlots):
@@ -73,18 +72,18 @@ class SimulationConfig(FrozenSlots):
 
 
 class FrequencyTable(NamedTuple):
-    counts: dict  # ChainPolygon -> nonnegative int
+    counts: dict  # a hull's vertex tuple -> nonnegative int
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-def exact_prob(p: ChainPolygon, x) -> Fraction:
+def exact_prob(s: PolygonStats, x) -> Fraction:
+    """The law of the hull at x for a polygon with these stats."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"x must lie strictly between 0 and 1, got {x}")
-    s = polygon_stats(p)
     return (1 - x) ** s.u * x ** (s.v_count - 2)
 
 
@@ -178,10 +177,10 @@ def _usable_cpus() -> int:
 
 
 def _hull_counts(tallies, spec: TriangleSpec) -> dict:
-    """The ChainPolygon -> count table of a mask -> count tally: each mask
+    """The vertex tuple -> count table of a mask -> count tally: each mask
     is cut down to its column minima, the counts are summed per set of
     minima, one lower hull is built per set and summed by vertex chain,
-    then validated as one ChainPolygon per distinct chain."""
+    then each distinct chain is checked once, by check_chain."""
     # column x is a contiguous bit range, y increasing from its first bit
     columns = []  # (x, first bit, ones over the column's height)
     starts = tops = first = 0  # each column's first bit, and its top bit
@@ -205,7 +204,9 @@ def _hull_counts(tallies, spec: TriangleSpec) -> dict:
         lowest = [(x, seg.bit_length()) for x, first, ones in columns if (seg := key >> first & ones)]
         chain = lower_hull([origin, *lowest, corner])
         chains[chain] = chains.get(chain, 0) + c
-    return {ChainPolygon(chain, spec): c for chain, c in chains.items()}
+    for chain in chains:
+        check_chain(chain, spec)
+    return chains
 
 
 def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
@@ -238,7 +239,7 @@ def simulate(config: SimulationConfig, jobs: int = 1) -> FrequencyTable:
 
 
 class ComparisonRow(NamedTuple):
-    polygon: ChainPolygon
+    vertices: tuple
     count: int
     empirical: float
     exact: Fraction
@@ -265,24 +266,24 @@ def compare(table: FrequencyTable, config: SimulationConfig,
             z_threshold: float = 4.0) -> ComparisonReport:
     """One row per family member (zero counts included), enumeration order."""
     family = list(enumerate_polygons(config.spec))
-    known = set(family)
-    for poly in table.counts:
-        if poly not in known:
-            raise ValueError(f"table contains a polygon outside the family: {poly}")
+    known = {vertices for vertices, _ in family}
+    for vertices in table.counts:
+        if vertices not in known:
+            raise ValueError(f"table contains a polygon outside the family: {vertices}")
     if table.total != config.trials:
         raise ValueError(f"table holds {table.total} trials, config says {config.trials}")
 
     rows = []
     exact_total = Fraction(0)
-    for poly in family:
-        p = exact_prob(poly, config.x)
+    for vertices, stats in family:
+        p = exact_prob(stats, config.x)
         exact_total += p
-        count = table.counts.get(poly, 0)
+        count = table.counts.get(vertices, 0)
         emp = count / config.trials
         sigma = sqrt(float(p * (1 - p)) / config.trials)
         if sigma == 0.0:
             z = 0.0 if emp == float(p) else inf
         else:
             z = (emp - float(p)) / sigma
-        rows.append(ComparisonRow(poly, count, emp, p, z, abs(z) > z_threshold))
+        rows.append(ComparisonRow(vertices, count, emp, p, z, abs(z) > z_threshold))
     return ComparisonReport(config, tuple(rows), exact_total, z_threshold)

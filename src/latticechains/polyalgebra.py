@@ -21,8 +21,8 @@ theorem into one shared coefficient dict, and the polynomial is built once.
 A check only asks whether a form equals its monomial: ``packed_equals``
 answers from its (a, b, mult) terms mult * z^a * (1 - z)^b by one Horner at
 a power of two wide enough that equal integers mean equal polynomials
-(Kronecker substitution), and ``fold_equals`` adapts it to a histogram.
-``fold_terms`` expands a printed form and the single forms of verification.
+(Kronecker substitution). ``fold_terms`` expands a printed form and the
+single forms of verification.
 """
 
 from __future__ import annotations
@@ -60,21 +60,6 @@ class _Poly:
                 e = shift + cls._step * t
                 coeffs[e] = coeffs.get(e, 0) + (-mult if t & 1 else mult) * comb(power, t)
         return cls(coeffs)
-
-    @classmethod
-    def fold_equals(cls, histogram, target) -> bool:
-        """fold_terms(histogram) == target, for a monomial target c * y^e and
-        positive multiplicities, by packed_equals with z = y^step and
-        a = (shift - e)/step. A term a parity apart (q) is refused: it leaves
-        a nonzero part off the target's exponents."""
-        [(e, c)] = target._coeffs.items()
-        terms = []
-        for (shift, power), mult in histogram.items():
-            a, off = divmod(shift - e, cls._step)
-            if off:
-                return False
-            terms.append((a, power, mult))
-        return packed_equals(terms, c, 0)
 
     def items(self):
         """(exponent, coefficient) pairs in decreasing exponent order."""

@@ -4,7 +4,7 @@ Form 1 (step family D): sum over the D chains of (i, n) of
     (q - 1)^(k-1) * q^(1 - k + (cross + gcdsum)/2)
 which must equal the single monomial q^((i*j - n)/2 + 1), j = n - i.
 
-Form 2 (polygon family): sum over enumerate_polygons of
+Form 2 (polygon family): sum over the triangle's chain polygons P of
     (q - 1)^(k-1) * q^(-(k-1) + interior(P) + boundary(P))
 which must equal q^((i*j - n + gcd(i,j))/2 + 2): termwise, form 1 times
 q^(1 + gcd(i,j)/2), by the Pick-type exponent identity (see tests).

@@ -1,12 +1,12 @@
 """The record check written out longhand, kept as an oracle for
-latticechains.cli.PolygonRecord.validate, which checks a record through
-geometry.chain_steps, the check ChainPolygon makes too. So the vertex rule
-is stated here again, without that function: every stats field an int and
-every vertex an (x, y) tuple of ints, bool refused in both; at least 2
-vertices, the first (0,0); every step positive in both coordinates; and the
-step slopes strictly increasing, compared as exact fractions. Then
-chain_stats of the steps, which the scan oracles pin, must equal the
-record's stats."""
+latticechains.geometry.PolygonRecord.validate, which checks a record
+through geometry.chain_steps, the check check_chain makes too. So the
+vertex rule is stated here again, without that function: every stats
+field an int and every vertex an (x, y) tuple of ints, bool refused in
+both; at least 2 vertices, the first (0,0); every step positive in both
+coordinates; and the step slopes strictly increasing, compared as exact
+fractions. Then chain_stats of the steps, which the scan oracles pin, must
+equal the record's stats."""
 
 from fractions import Fraction
 

@@ -3,12 +3,13 @@ latticechains.geometry.
 
 Each count here scans lattice points with exact orientation predicates
 (or sums gcds over an explicit vertex cycle), so it shares no formula with
-polygon_stats, which derives i(P) and u(P) from Pick's theorem.
+chain_stats, which derives i(P) and u(P) from Pick's theorem. A chain
+polygon is its vertex tuple from (0,0) to (i,j), closed by the hypotenuse.
 """
 
 from math import gcd
 
-from latticechains.geometry import ChainPolygon, Point, TriangleSpec, triangle_interior_points
+from latticechains.geometry import Point, TriangleSpec, triangle_interior_points
 
 
 def cross(o: Point, a: Point, b: Point) -> int:
@@ -26,37 +27,38 @@ def segment_lattice_count(p: Point, r: Point) -> int:
     return gcd(abs(rx - px), abs(ry - py)) + 1
 
 
-def interior_count(poly: ChainPolygon) -> int:
+def interior_count(vertices, spec: TriangleSpec) -> int:
     """i(P): lattice points strictly inside, by brute force over the bounding
     box with exact orientation predicates; 0 for the 2-gon."""
-    if len(poly.steps) == 1:
+    if len(vertices) == 2:
         return 0
-    edges = _cycle_edges(poly.vertices)
+    edges = _cycle_edges(tuple(vertices))
     count = 0
-    for x in range(0, poly.spec.i + 1):
-        for y in range(0, poly.spec.j + 1):
+    for x in range(0, spec.i + 1):
+        for y in range(0, spec.j + 1):
             if all(cross(a, b, (x, y)) > 0 for a, b in edges):
                 count += 1
     return count
 
 
-def contains_point_closed(poly: ChainPolygon, p: Point) -> bool:
-    """Membership in the closed region of the polygon (boundary included).
+def contains_point_closed(vertices, p: Point) -> bool:
+    """Membership in the closed region of the chain polygon (boundary
+    included).
 
     For the 2-gon the closed region is the segment itself.
     """
-    if len(poly.steps) == 1:
-        return _on_segment(p, *poly.vertices)
-    return all(cross(a, b, p) >= 0 for a, b in _cycle_edges(poly.vertices))
+    if len(vertices) == 2:
+        return _on_segment(p, *vertices)
+    return all(cross(a, b, p) >= 0 for a, b in _cycle_edges(tuple(vertices)))
 
 
-def u_count(poly: ChainPolygon) -> int:
+def u_count(vertices, spec: TriangleSpec) -> int:
     """Lattice points strictly inside the triangle but outside the closed
-    region of the polygon."""
+    region of the chain polygon."""
     return sum(
         1
-        for p in triangle_interior_points(poly.spec)
-        if not contains_point_closed(poly, p)
+        for p in triangle_interior_points(spec)
+        if not contains_point_closed(vertices, p)
     )
 
 
@@ -79,12 +81,11 @@ def pick_check(poly) -> bool:
     """Pick's theorem check: area2 == 2*interior + boundary - 2, with the
     interior counted by ray casting.
 
-    Accepts a ChainPolygon (closed by its hypotenuse edge) or any simple
-    polygon as a vertex sequence. Degenerate polygons (area 0, in particular
-    2-gons) are rejected: Pick's formula does not hold for them.
+    Accepts any simple polygon as a vertex sequence, a chain polygon's
+    vertices among them (closed by its hypotenuse edge). Degenerate polygons
+    (area 0, in particular 2-gons) are rejected: Pick's formula does not
+    hold for them.
     """
-    if isinstance(poly, ChainPolygon):
-        poly = poly.vertices
     verts = tuple(poly)
     area2 = abs(_cycle_area2(verts))
     if area2 == 0:

@@ -20,7 +20,7 @@ from latticechains.explorer import (
     triangle_signature,
     triangle_signatures,
 )
-from latticechains.geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum, polygon_stats
+from latticechains.geometry import TriangleSpec, chain_steps, pair_cross_sum, pair_gcd_sum, polygon_stats
 from latticechains.montecarlo import SimulationConfig, compare, simulate
 from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
@@ -107,7 +107,7 @@ def test_criterion_4_bijection_and_doubled_exponent_identity():
             g = gcd(i, n - i)
             d_list = list(enumerate_D(i, n))
             polygons = list(enumerate_polygons(spec))
-            c_list = [p.steps for p in polygons]
+            c_list = [chain_steps(p.vertices) for p in polygons]
             if [shear(d) for d in d_list] != c_list:
                 failures.append((i, n, "forward map"))
             if [unshear(c) for c in c_list] != d_list:
@@ -120,7 +120,7 @@ def test_criterion_4_bijection_and_doubled_exponent_identity():
                     failures.append((i, n, d, "cross sum"))
                 if pair_gcd_sum(c) != pair_gcd_sum(d):
                     failures.append((i, n, d, "gcd sum"))
-                s = polygon_stats(p)
+                s = p.stats
                 lhs = 2 * (1 - len(d)) + pair_cross_sum(d) + pair_gcd_sum(d)
                 rhs = 2 * (-(len(d) - 1) + s.interior + s.boundary) - 2 - g
                 if lhs != rhs:
@@ -134,10 +134,10 @@ def test_criterion_5_pick_formula_with_scan_oracles():
     for i in range(1, 9):
         for j in range(1, 9):
             for p in enumerate_polygons(TriangleSpec(i, j)):
-                if len(p.steps) == 1:
+                if p.stats.k == 1:
                     continue
                 checked += 1
-                s = polygon_stats(p)
+                s = p.stats
                 verts = list(p.vertices)
                 interior = oracle_interior_scan(verts)
                 boundary = oracle_boundary_scan(verts)
@@ -150,13 +150,13 @@ def test_criterion_5_pick_formula_with_scan_oracles():
     rng = random.Random(52901)
     randomized = 0
     while randomized < 200:
-        poly, _, _ = random_hull(rng)
-        if len(poly.steps) == 1:
+        poly, _, spec = random_hull(rng)
+        if len(poly) == 2:
             continue
         randomized += 1
-        s = polygon_stats(poly)
-        if s.area2 != 2 * oracle_interior_scan(list(poly.vertices)) + s.boundary - 2:
-            failures.append((poly.vertices, "pick/random"))
+        s = polygon_stats(poly, spec)
+        if s.area2 != 2 * oracle_interior_scan(list(poly)) + s.boundary - 2:
+            failures.append((poly, "pick/random"))
     report(5, failures, f"{checked} enumerated + {randomized} random chains")
 
 
@@ -165,9 +165,10 @@ def test_criterion_6_u_accounting():
     checked = 0
     for i in range(1, 9):
         for j in range(1, 9):
-            for p in enumerate_polygons(TriangleSpec(i, j)):
+            spec = TriangleSpec(i, j)
+            for p in enumerate_polygons(spec):
                 checked += 1
-                if polygon_stats(p).u != u_count(p):
+                if p.stats.u != u_count(p.vertices, spec):
                     failures.append((i, j, p.vertices, "u"))
     report(6, failures, f"{checked} polygons, u equals the scan count")
 
@@ -186,7 +187,7 @@ def test_criterion_7_monte_carlo_cross_check():
             failures.append((spec, "normalization"))
         for row in result.rows:
             if abs(row.z) > 4.0:
-                failures.append((spec, row.polygon.vertices, f"z={row.z:.2f}"))
+                failures.append((spec, row.vertices, f"z={row.z:.2f}"))
     elapsed = time.perf_counter() - started
     if elapsed >= 30:
         failures.append(f"took {elapsed:.1f}s, budget 30s")

@@ -12,20 +12,22 @@ import pytest
 
 import latticechains
 import latticechains.cli as cli
+from latticechains import geometry
 from latticechains.cli import (
     CSV_COLUMNS,
     FIELDS,
     PolygonRecord,
     main,
-    records_for,
     records_from_csv,
     records_from_json,
     records_to_csv,
     records_to_json,
 )
 from latticechains.enumeration import enumerate_polygons
-from latticechains.geometry import PolygonStats, TriangleSpec, polygon_stats
+from latticechains.geometry import PolygonStats, TriangleSpec
 from latticechains.polyalgebra import QHalfPoly
+
+from scan_oracles import interior_count, segment_lattice_count, u_count
 
 
 CSV_HEADER_LINE = ",".join(CSV_COLUMNS) + "\n"
@@ -350,7 +352,7 @@ def test_enumerate_json_round_trip(capsys):
     assert code == 0
     records = records_from_json(out)
     assert len(records) == 2
-    assert records == records_for(TriangleSpec(2, 3))
+    assert records == list(enumerate_polygons(TriangleSpec(2, 3)))
     assert json.loads(out)[0]["vertices"] == [[0, 0], [2, 3]]
 
 
@@ -360,16 +362,34 @@ def test_enumerate_csv_schema(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,vCount,iP,bP,area2,u,exponentDoubled,vertices"
     assert len(lines) == 1 + 4
-    assert records_from_csv(out) == records_for(TriangleSpec(3, 4))
+    assert records_from_csv(out) == list(enumerate_polygons(TriangleSpec(3, 4)))
 
 
-def test_records_read_off_the_walk_equal_the_polygon_route():
-    # records_for builds no polygon; its stats come from the steps alone
-    for i in range(1, 11):
-        for j in range(1, 11):
+def scanned_stats(vertices, spec) -> PolygonStats:
+    """A chain polygon's stats from its vertices by brute force: i(P) and
+    u(P) by lattice scans, b(P) by the gcd of each edge, area by shoelace."""
+    k = len(vertices) - 1
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    interior = interior_count(vertices, spec)
+    if k == 1:  # the 2-gon's boundary is its one segment
+        boundary = segment_lattice_count(*vertices)
+    else:
+        boundary = sum(segment_lattice_count(a, b) - 1 for a, b in edges)
+    area2 = sum(ax * by - bx * ay for (ax, ay), (bx, by) in edges)
+    return PolygonStats(k, k + 1, interior, boundary, area2, u_count(vertices, spec),
+                        2 * (interior + boundary - (k - 1)))
+
+
+def test_listed_records_match_the_scan_oracles():
+    # each record enumerate_polygons lists, against scans of its vertices
+    checked = 0
+    for i in range(1, 9):
+        for j in range(1, 9):
             spec = TriangleSpec(i, j)
-            assert records_for(spec) == [PolygonRecord(p.vertices, polygon_stats(p))
-                                         for p in enumerate_polygons(spec)]
+            for vertices, stats in enumerate_polygons(spec):
+                assert stats == scanned_stats(vertices, spec), vertices
+                checked += 1
+    assert checked == 876
 
 
 def test_record_keys_pair_with_the_stats_fields_by_name():
@@ -392,7 +412,7 @@ def test_enumerate_rejects_unknown_format(capsys):
 
 
 def test_record_validation_catches_tampering():
-    record = records_for(TriangleSpec(2, 3))[1]
+    record = list(enumerate_polygons(TriangleSpec(2, 3)))[1]
     broken = PolygonRecord(
         record.vertices,
         record.stats._replace(interior=record.stats.interior + 1),
@@ -409,7 +429,7 @@ def test_record_validation_catches_tampering():
 ], ids=["bool-k", "bool-interior", "float-u", "float-area2"])
 def test_record_validation_refuses_a_stats_field_that_is_not_an_int(field, value):
     # the 2-gon of (2,3): k=1, interior=0, u=1, area2=0, each equal to its stand-in
-    record = records_for(TriangleSpec(2, 3))[0]
+    record = next(enumerate_polygons(TriangleSpec(2, 3)))
     broken = PolygonRecord(record.vertices, record.stats._replace(**{field: value}))
     assert broken.stats == record.stats
     with pytest.raises(TypeError):
@@ -423,13 +443,13 @@ def test_record_validation_refuses_a_stats_field_that_is_not_an_int(field, value
     ((0, 0), (True, True)), ((False, 0), (1, 1)), ((0, False), (1, 1)), ((0, 0), [1, 1]),
 ], ids=["bool-end", "bool-origin-x", "bool-origin-y", "list-vertex"])
 def test_record_validation_refuses_a_vertex_that_is_not_a_pair_of_ints(vertices):
-    broken = PolygonRecord(vertices, records_for(TriangleSpec(1, 1))[0].stats)
+    broken = PolygonRecord(vertices, next(enumerate_polygons(TriangleSpec(1, 1))).stats)
     with pytest.raises(TypeError):
         broken.validate()
 
 
 def test_each_loader_validates_each_record_once_and_builds_each_triangle_once(monkeypatch):
-    records = records_for(TriangleSpec(8, 9)) + records_for(TriangleSpec(3, 4))
+    records = list(enumerate_polygons(TriangleSpec(8, 9))) + list(enumerate_polygons(TriangleSpec(3, 4)))
     validated, specs = [], []
     validate = PolygonRecord.validate
 
@@ -442,7 +462,7 @@ def test_each_loader_validates_each_record_once_and_builds_each_triangle_once(mo
         return TriangleSpec(i, j)
 
     monkeypatch.setattr(PolygonRecord, "validate", counting_validate)
-    monkeypatch.setattr(cli, "TriangleSpec", counting_spec)
+    monkeypatch.setattr(geometry, "TriangleSpec", counting_spec)
     for load, write in ((records_from_json, records_to_json), (records_from_csv, records_to_csv)):
         validated.clear()
         specs.clear()
@@ -499,7 +519,7 @@ def test_loaders_refuse_documents_past_parser_limits(load, text):
 
 
 def test_csv_loader_rejects_wrong_header():
-    good = records_to_csv(records_for(TriangleSpec(2, 3)))
+    good = records_to_csv(list(enumerate_polygons(TriangleSpec(2, 3))))
     with pytest.raises(ValueError):
         records_from_csv(good.replace("vCount", "vcount"))
 
@@ -665,6 +685,19 @@ def test_render_golden_svgs(tmp_path, capsys):
     assert code == 0
     bodies = [(tmp_path / f"poly_{k}.svg").read_text() for k in range(4)]
     assert bodies == [RENDER_3_4_POLY_0, RENDER_3_4_POLY_1, RENDER_3_4_POLY_2, RENDER_3_4_POLY_3]
+
+
+def test_render_5_7_is_pinned(tmp_path, capsys):
+    # sha256 of the stdout, with the out dir named "figs", then of all 23
+    # figures in index order, chains of one to four steps
+    out_dir = tmp_path / "figs"
+    code, out, _ = run(capsys, "render", "--i", "5", "--j", "7", "--out-dir", str(out_dir))
+    assert code == 0
+    assert len(list(out_dir.iterdir())) == 23
+    digest = hashlib.sha256(out.replace(str(out_dir), "figs").encode())
+    for k in range(23):
+        digest.update((out_dir / f"poly_{k}.svg").read_bytes())
+    assert digest.hexdigest() == "91f57758a2bdf42304177ccf45c5ed71d3ad7c8b167568e63263803b4dfde278"
 
 
 def test_render_is_byte_identical(tmp_path, capsys):

@@ -2,8 +2,7 @@
 command-line values, and for the record files it writes. Every input is
 either accepted or refused with a ValueError; none may escape as another
 exception. Each writer gives its standard-library oracle's bytes, and the
-record check accepts what its longhand oracle accepts (the tests' "polygon
-route", which once built a ChainPolygon per record)."""
+record check accepts what its longhand oracle accepts."""
 
 import argparse
 import csv
@@ -20,7 +19,6 @@ from latticechains.cli import (
     PolygonRecord,
     nonnegative_int,
     positive_int,
-    records_for,
     records_from_csv,
     records_from_json,
     records_to_csv,
@@ -28,6 +26,7 @@ from latticechains.cli import (
     unit_fraction,
     z_threshold,
 )
+from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import PolygonStats, TriangleSpec
 from record_oracles import accepts, validate_oracle
 from writer_oracles import csv_oracle, json_oracle
@@ -36,7 +35,7 @@ from writer_oracles import csv_oracle, json_oracle
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
                     suppress_health_check=[HealthCheck.too_slow])
 
-RECORDS = records_for(TriangleSpec(3, 5))
+RECORDS = list(enumerate_polygons(TriangleSpec(3, 5)))
 CSV_ROWS = list(csv.reader(io.StringIO(records_to_csv(RECORDS))))[1:]
 JSON_OBJS = json.loads(records_to_json(RECORDS))
 JSON_KEYS = list(JSON_OBJS[0])
@@ -64,7 +63,7 @@ RECORD_LISTS = st.lists(
 
 # every record of every triangle with legs up to 10: 3,958 records
 FAMILY = [record for i in range(1, 11) for j in range(1, 11)
-          for record in records_for(TriangleSpec(i, j))]
+          for record in enumerate_polygons(TriangleSpec(i, j))]
 # a tampered value: near a real coordinate or field, or of another type
 VALUES = (st.integers(-1, 11) | INTEGERS | st.booleans() | st.none() | TEXT
           | st.floats(allow_nan=True, allow_infinity=True))

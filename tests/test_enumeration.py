@@ -17,13 +17,13 @@ from latticechains.enumeration import (
     region_C,
 )
 from latticechains.geometry import (
-    ChainPolygon,
     TriangleSpec,
+    chain_steps,
+    check_chain,
     check_steps,
     convex_hull_chain,
     pair_cross_sum,
     pair_gcd_sum,
-    polygon_stats,
     triangle_interior_points,
 )
 
@@ -73,7 +73,7 @@ def unshear(steps):
 
 def c_steps(i, j):
     """The C family of (i, j), as enumerate_polygons lists it."""
-    return [p.steps for p in enumerate_polygons(TriangleSpec(i, j))]
+    return [chain_steps(p.vertices) for p in enumerate_polygons(TriangleSpec(i, j))]
 
 
 def test_frozen_D_examples():
@@ -215,11 +215,12 @@ def test_composition_polygon_round_trip():
     # a polygon's steps are its vertex differences, and its vertices the
     # partial sums of its steps; the 2-gon is the single step (i, j)
     spec = TriangleSpec(3, 4)
-    p = ChainPolygon(((0, 0), (1, 1), (3, 4)), spec)
-    assert p.steps == ((1, 1), (2, 3))
-    assert partial_sums(p.steps) == p.vertices
+    vertices = ((0, 0), (1, 1), (3, 4))
+    steps = check_chain(vertices, spec)
+    assert steps == ((1, 1), (2, 3))
+    assert partial_sums(steps) == vertices
     two_gon = next(enumerate_polygons(spec))
-    assert len(two_gon.steps) == 1 and two_gon.steps == ((3, 4),)
+    assert two_gon.stats.k == 1 and chain_steps(two_gon.vertices) == ((3, 4),)
 
 
 def test_enumerate_polygons_counts():
@@ -246,7 +247,7 @@ def test_family_sizes_are_symmetric_monotone_and_closed_form_for_short_legs():
 def test_polygon_family_equals_hull_closure(i, j):
     # every hull of an interior subset appears, and nothing else does
     spec = TriangleSpec(i, j)
-    enumerated = set(enumerate_polygons(spec))
+    enumerated = {p.vertices for p in enumerate_polygons(spec)}
     interior = triangle_interior_points(spec)
     hulls = set()
     for size in range(len(interior) + 1):
@@ -259,7 +260,7 @@ def test_polygon_family_equals_hull_closure(i, j):
 def test_each_polygon_is_hull_of_its_own_interior_vertices(i, j):
     spec = TriangleSpec(i, j)
     for p in enumerate_polygons(spec):
-        assert convex_hull_chain(p.vertices[1:-1], spec) == p
+        assert convex_hull_chain(p.vertices[1:-1], spec) == p.vertices
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -269,9 +270,9 @@ def test_doubled_exponent_matches_polygon_counts(n):
         spec = TriangleSpec(i, n - i)
         g = gcd(i, n - i)
         for d, p in zip(enumerate_D(i, n), enumerate_polygons(spec), strict=True):
-            assert shear(d) == p.steps
+            assert shear(d) == chain_steps(p.vertices)
             via_steps = 2 * (1 - len(d)) + pair_cross_sum(d) + pair_gcd_sum(d)
-            stats = polygon_stats(p)
+            stats = p.stats
             via_counts = 2 * (stats.interior + stats.boundary - (len(d) - 1)) - 2 - g
             assert via_steps == via_counts
             assert stats.exponent_doubled == via_steps + 2 + g
@@ -286,9 +287,10 @@ def test_random_hull_compositions_are_valid(seed=20260819):
         interior = triangle_interior_points(spec)
         chosen = [p for p in interior if rng.random() < 0.5]
         poly = convex_hull_chain(chosen, spec)
-        check_steps(poly.steps)
-        assert sum(x for x, _ in poly.steps) == i and sum(y for _, y in poly.steps) == j
-        assert partial_sums(poly.steps) == poly.vertices
+        steps = tuple((bx - ax, by - ay) for (ax, ay), (bx, by) in zip(poly, poly[1:]))
+        check_steps(steps)
+        assert sum(x for x, _ in steps) == i and sum(y for _, y in steps) == j
+        assert partial_sums(steps) == poly
 
 
 def test_composition_validation_rejects_bad_steps():
@@ -296,7 +298,7 @@ def test_composition_validation_rejects_bad_steps():
         check_steps(((1, 0),))
     with pytest.raises(ValueError):
         check_steps(((2, 2), (1, 1)))  # equal slopes
-    # non-int coordinates, bool included, are refused as ChainPolygon refuses them
+    # non-int coordinates, bool included, are refused as check_chain refuses them
     with pytest.raises(TypeError):
         check_steps(((1.5, 1),))
     with pytest.raises(TypeError):
@@ -367,5 +369,5 @@ def test_chain_polygon_accepts_exactly_its_longhand_rule():
         for middle_count in range(3):
             for middle in product(points, repeat=middle_count):
                 verts = ((0, 0), *middle, (i, j))
-                assert (accepts(ChainPolygon, verts, spec)
+                assert (accepts(check_chain, verts, spec)
                         == longhand_rule_chain_polygon(verts, i, j)), verts

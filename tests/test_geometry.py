@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import (
-    ChainPolygon,
     TriangleSpec,
+    check_chain,
     convex_hull_chain,
     polygon_stats,
     triangle_interior_points,
@@ -27,8 +27,8 @@ from scan_oracles import (
 )
 
 
-def chain(spec, *coords):
-    return ChainPolygon(coords, spec)
+def stats(spec, *coords):
+    return polygon_stats(coords, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def random_hull(rng, max_leg=8):
     spec = TriangleSpec(rng.randint(1, max_leg), rng.randint(1, max_leg))
     inner = triangle_interior_points(spec)
     chosen = [p for p in inner if rng.random() < 0.5]
-    return convex_hull_chain(chosen, spec), chosen, spec
+    return convex_hull_chain(chosen, spec), chosen, spec  # (vertices, chosen, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +155,22 @@ def test_segment_lattice_count_matches_scan(ax, ay, bx, by):
 
 
 def test_doubled_area_examples():
-    assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (2, 3))).area2 == 0
-    assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3))).area2 == 1
-    assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))).area2 == 5
+    assert stats(TriangleSpec(2, 3), (0, 0), (2, 3)).area2 == 0
+    assert stats(TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3)).area2 == 1
+    assert stats(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4)).area2 == 5
 
 
 def test_boundary_count_examples():
-    assert polygon_stats(chain(TriangleSpec(2, 3), (0, 0), (2, 3))).boundary == 2
-    assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 2), (3, 4))).boundary == 4
-    assert polygon_stats(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))).boundary == 3
+    assert stats(TriangleSpec(2, 3), (0, 0), (2, 3)).boundary == 2
+    assert stats(TriangleSpec(3, 4), (0, 0), (2, 2), (3, 4)).boundary == 4
+    assert stats(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4)).boundary == 3
 
 
 def test_interior_count_examples():
-    for count in (interior_count, lambda p: polygon_stats(p).interior):
-        assert count(chain(TriangleSpec(5, 7), (0, 0), (5, 7))) == 0
-        assert count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 2
-        assert count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 0
+    for count in (interior_count, lambda v, spec: polygon_stats(v, spec).interior):
+        assert count(((0, 0), (5, 7)), TriangleSpec(5, 7)) == 0
+        assert count(((0, 0), (2, 1), (3, 4)), TriangleSpec(3, 4)) == 2
+        assert count(((0, 0), (1, 1), (3, 4)), TriangleSpec(3, 4)) == 0
 
 
 def test_triangle_interior_points_examples():
@@ -192,20 +192,16 @@ def test_triangle_interior_points_match_scan(i, j):
 
 
 def test_u_count_examples():
-    for count in (u_count, lambda p: polygon_stats(p).u):
-        assert count(chain(TriangleSpec(2, 3), (0, 0), (2, 3))) == 1
-        assert count(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))) == 0
-        assert count(chain(TriangleSpec(3, 4), (0, 0), (1, 1), (3, 4))) == 2
+    for count in (u_count, lambda v, spec: polygon_stats(v, spec).u):
+        assert count(((0, 0), (2, 3)), TriangleSpec(2, 3)) == 1
+        assert count(((0, 0), (2, 1), (3, 4)), TriangleSpec(3, 4)) == 0
+        assert count(((0, 0), (1, 1), (3, 4)), TriangleSpec(3, 4)) == 2
 
 
 def test_convex_hull_chain_examples():
-    assert convex_hull_chain([], TriangleSpec(2, 3)) == chain(TriangleSpec(2, 3), (0, 0), (2, 3))
-    assert convex_hull_chain([(1, 1)], TriangleSpec(2, 3)) == chain(
-        TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3)
-    )
-    assert convex_hull_chain(
-        [(1, 1), (2, 2), (2, 1)], TriangleSpec(3, 4)
-    ) == chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))
+    assert convex_hull_chain([], TriangleSpec(2, 3)) == ((0, 0), (2, 3))
+    assert convex_hull_chain([(1, 1)], TriangleSpec(2, 3)) == ((0, 0), (1, 1), (2, 3))
+    assert convex_hull_chain([(1, 1), (2, 2), (2, 1)], TriangleSpec(3, 4)) == ((0, 0), (2, 1), (3, 4))
 
 
 def test_convex_hull_chain_rejects_non_interior_points():
@@ -217,14 +213,14 @@ def test_convex_hull_chain_rejects_non_interior_points():
 
 
 def test_pick_check_examples():
-    assert pick_check(chain(TriangleSpec(2, 3), (0, 0), (1, 1), (2, 3)))
-    assert pick_check(chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4)))
+    assert pick_check(((0, 0), (1, 1), (2, 3)))
+    assert pick_check(((0, 0), (2, 1), (3, 4)))
     assert pick_check([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def test_pick_check_rejects_degenerate():
     with pytest.raises(ValueError):
-        pick_check(chain(TriangleSpec(4, 6), (0, 0), (4, 6)))
+        pick_check(((0, 0), (4, 6)))
     with pytest.raises(ValueError):
         pick_check([(0, 0), (2, 2), (4, 4)])
 
@@ -235,23 +231,24 @@ def test_pick_check_rejects_degenerate():
 
 def test_chain_polygon_validation():
     spec = TriangleSpec(3, 4)
+    with pytest.raises(ValueError, match=r"must end at \(3,4\), got \(1, 1\)"):
+        check_chain(((0, 0), (1, 1)), spec)  # wrong endpoint
     with pytest.raises(ValueError):
-        chain(spec, (0, 0), (1, 1))  # wrong endpoint
+        check_chain(((0, 0), (1, 2), (3, 4)), spec)  # slopes decrease
     with pytest.raises(ValueError):
-        chain(spec, (0, 0), (1, 2), (3, 4))  # slopes decrease
+        check_chain(((0, 0), (1, 1), (2, 2), (3, 4)), spec)  # collinear middle edge pair
     with pytest.raises(ValueError):
-        chain(spec, (0, 0), (1, 1), (2, 2), (3, 4))  # collinear middle edge pair
+        check_chain(((0, 0), (2, 0), (3, 4)), spec)  # flat edge
     with pytest.raises(ValueError):
-        chain(spec, (0, 0), (2, 0), (3, 4))  # flat edge
-    with pytest.raises(ValueError):
-        ChainPolygon(((0, 0),), spec)
+        check_chain(((0, 0),), spec)
+    assert check_chain(((0, 0), (2, 1), (3, 4)), spec) == ((2, 1), (1, 3))
 
 
 @pytest.mark.parametrize("vertex", [(1.0, 1), [1, 1], (1, 1, 0)],
                          ids=["float-coordinate", "list-vertex", "3-tuple-vertex"])
 def test_chain_polygon_rejects_non_int_pair_vertices(vertex):
     with pytest.raises(TypeError):
-        ChainPolygon(((0, 0), vertex, (3, 4)), TriangleSpec(3, 4))
+        check_chain(((0, 0), vertex, (3, 4)), TriangleSpec(3, 4))
 
 
 @pytest.mark.parametrize("point", [(True, True), (2, True)], ids=["bool-pair", "bool-y"])
@@ -260,11 +257,11 @@ def test_bool_coordinates_are_refused(point):
     spec = TriangleSpec(3, 4)
     assert spec.contains_interior(point)
     with pytest.raises(TypeError):
-        ChainPolygon(((0, 0), point, (3, 4)), spec)
+        check_chain(((0, 0), point, (3, 4)), spec)
     with pytest.raises(TypeError):
         convex_hull_chain([point], spec)
     with pytest.raises(TypeError):
-        ChainPolygon(((False, False), (True, True)), TriangleSpec(1, 1))
+        check_chain(((False, False), (True, True)), TriangleSpec(1, 1))
 
 
 @pytest.mark.parametrize("legs", [(True, 3), (2.0, 3)], ids=["bool-leg", "float-leg"])
@@ -277,16 +274,16 @@ def test_non_int_triangle_legs_are_refused(legs):
 def test_convex_hull_chain_rejects_non_int_points_that_are_not_extreme(point):
     spec = TriangleSpec(3, 4)
     assert spec.contains_interior(point)
-    assert convex_hull_chain([(2, 1), (2, 2)], spec) == chain(spec, (0, 0), (2, 1), (3, 4))
+    assert convex_hull_chain([(2, 1), (2, 2)], spec) == ((0, 0), (2, 1), (3, 4))
     with pytest.raises(TypeError):
         convex_hull_chain([(2, 1), point], spec)
 
 
-def stats_mismatches(poly):
-    """Fields of polygon_stats(poly) that disagree with the scan oracles."""
-    s = polygon_stats(poly)
-    verts = list(poly.vertices)
-    if len(poly.steps) == 1:
+def stats_mismatches(vertices, s, spec):
+    """Fields of the stats s of the chain polygon with these vertices that
+    disagree with the scan oracles."""
+    verts = list(vertices)
+    if len(verts) == 2:
         expected = {"interior": 0, "boundary": oracle_segment_points(*verts), "area2": 0}
     else:
         expected = {
@@ -294,7 +291,7 @@ def stats_mismatches(poly):
             "boundary": oracle_boundary_scan(verts),
             "area2": oracle_area2_trapezoid(verts),
         }
-    expected["u"] = u_count(poly)
+    expected["u"] = u_count(vertices, spec)
     return [name for name, value in expected.items() if getattr(s, name) != value]
 
 
@@ -302,18 +299,21 @@ def test_counts_match_scan_oracles_on_random_hulls():
     rng = random.Random(20260819)
     seen_nondegenerate = 0
     for _ in range(200):
-        poly, _, _ = random_hull(rng)
-        assert stats_mismatches(poly) == [], poly
-        seen_nondegenerate += len(poly.steps) != 1
+        poly, _, spec = random_hull(rng)
+        assert stats_mismatches(poly, polygon_stats(poly, spec), spec) == [], poly
+        seen_nondegenerate += len(poly) != 2
     assert seen_nondegenerate > 100
 
 
 def test_polygon_stats_match_scan_oracles_on_every_family_to_10():
+    # enumerate_polygons' records, and polygon_stats of their vertices
     checked = 0
     for i in range(1, 11):
         for j in range(1, 11):
-            for poly in enumerate_polygons(TriangleSpec(i, j)):
-                assert stats_mismatches(poly) == [], poly
+            spec = TriangleSpec(i, j)
+            for vertices, s in enumerate_polygons(spec):
+                assert s == polygon_stats(vertices, spec)
+                assert stats_mismatches(vertices, s, spec) == [], vertices
                 checked += 1
     assert checked == 3958
 
@@ -322,11 +322,11 @@ def test_pick_theorem_on_random_hulls():
     rng = random.Random(987654321)
     checked = 0
     for _ in range(200):
-        poly, _, _ = random_hull(rng)
-        if len(poly.steps) == 1:
+        poly, _, spec = random_hull(rng)
+        if len(poly) == 2:
             continue
-        s = polygon_stats(poly)
-        assert s.area2 == 2 * interior_count(poly) + s.boundary - 2
+        s = polygon_stats(poly, spec)
+        assert s.area2 == 2 * interior_count(poly, spec) + s.boundary - 2
         assert pick_check(poly)
         checked += 1
     assert checked > 100
@@ -336,15 +336,15 @@ def test_u_accounting_on_random_hulls():
     rng = random.Random(13572468)
     for _ in range(200):
         poly, _, spec = random_hull(rng)
-        scanned = u_count(poly)
-        assert polygon_stats(poly).u == scanned
-        boundary = (oracle_segment_points(*poly.vertices) if len(poly.steps) == 1
-                    else oracle_boundary_scan(list(poly.vertices)))
+        scanned = u_count(poly, spec)
+        assert polygon_stats(poly, spec).u == scanned
+        boundary = (oracle_segment_points(*poly) if len(poly) == 2
+                    else oracle_boundary_scan(list(poly)))
         assert scanned == (
             triangle_interior_count(spec)
             + triangle_boundary_count(spec)
             - (spec.n - 1)
-            - (interior_count(poly) + boundary)
+            - (interior_count(poly, spec) + boundary)
         )
 
 
@@ -361,7 +361,7 @@ def test_hull_matches_extreme_point_oracle():
     rng = random.Random(424242)
     for _ in range(200):
         poly, chosen, spec = random_hull(rng)
-        assert list(poly.vertices) == oracle_hull_vertices(chosen, spec)
+        assert list(poly) == oracle_hull_vertices(chosen, spec)
 
 
 def test_hull_absorbs_points_already_covered():
@@ -382,7 +382,6 @@ def test_hull_region_contains_chosen_points():
 
 
 def test_no_floats_in_stats():
-    poly = chain(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))
-    s = polygon_stats(poly)
+    s = stats(TriangleSpec(3, 4), (0, 0), (2, 1), (3, 4))
     for value in (s.area2, s.boundary, s.interior, s.u):
         assert isinstance(value, int)

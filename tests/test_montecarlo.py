@@ -10,9 +10,9 @@ import pytest
 
 from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import (
-    ChainPolygon,
     TriangleSpec,
     convex_hull_chain,
+    polygon_stats,
     triangle_interior_points,
 )
 from latticechains import montecarlo
@@ -30,7 +30,12 @@ from latticechains.montecarlo import (
 
 
 def chain(spec, *pts):
-    return ChainPolygon(((0, 0), *pts, (spec.i, spec.j)), spec)
+    """The vertices of the chain from (0,0) through pts to (i,j)."""
+    return ((0, 0), *pts, (spec.i, spec.j))
+
+
+def prob(spec, x, *pts):
+    return exact_prob(polygon_stats(chain(spec, *pts), spec), x)
 
 
 def test_config_validation():
@@ -52,22 +57,22 @@ def test_config_validation():
 
 def test_exact_prob_frozen_values():
     s23 = TriangleSpec(2, 3)
-    assert exact_prob(chain(s23), Fraction(1, 2)) == Fraction(1, 2)
-    assert exact_prob(chain(s23, (1, 1)), Fraction(1, 2)) == Fraction(1, 2)
+    assert prob(s23, Fraction(1, 2)) == Fraction(1, 2)
+    assert prob(s23, Fraction(1, 2), (1, 1)) == Fraction(1, 2)
 
     s34 = TriangleSpec(3, 4)
-    assert exact_prob(chain(s34, (2, 1)), Fraction(1, 3)) == Fraction(1, 3)
-    assert exact_prob(chain(s34), Fraction(1, 3)) == Fraction(8, 27)
-    assert exact_prob(chain(s34, (1, 1)), Fraction(1, 3)) == Fraction(4, 27)
-    assert exact_prob(chain(s34, (2, 2)), Fraction(1, 3)) == Fraction(6, 27)
+    assert prob(s34, Fraction(1, 3), (2, 1)) == Fraction(1, 3)
+    assert prob(s34, Fraction(1, 3)) == Fraction(8, 27)
+    assert prob(s34, Fraction(1, 3), (1, 1)) == Fraction(4, 27)
+    assert prob(s34, Fraction(1, 3), (2, 2)) == Fraction(6, 27)
 
 
 def test_exact_prob_rejects_boundary_x():
-    p = chain(TriangleSpec(2, 3))
+    s = polygon_stats(chain(TriangleSpec(2, 3)), TriangleSpec(2, 3))
     with pytest.raises(ValueError):
-        exact_prob(p, 0)
+        exact_prob(s, 0)
     with pytest.raises(ValueError):
-        exact_prob(p, 1)
+        exact_prob(s, 1)
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
@@ -75,7 +80,7 @@ def test_probabilities_sum_to_one_exactly(x):
     for i in range(1, 9):
         for j in range(1, 9):
             spec = TriangleSpec(i, j)
-            total = sum(exact_prob(p, x) for p in enumerate_polygons(spec))
+            total = sum(exact_prob(s, x) for _, s in enumerate_polygons(spec))
             assert total == 1
 
 
@@ -166,7 +171,7 @@ def test_hull_counts_give_the_exact_law_over_every_mask():
             for mask in range(1 << n):
                 chosen = bin(mask).count("1")
                 tally[mask] = num ** chosen * (den - num) ** (n - chosen)
-            expected = {p: den ** n * exact_prob(p, x) for p in enumerate_polygons(spec)}
+            expected = {v: den ** n * exact_prob(s, x) for v, s in enumerate_polygons(spec)}
             assert _hull_counts(tally, spec) == expected, (spec, x)
 
 
@@ -180,17 +185,19 @@ def test_collinear_chosen_points_leave_the_hull():
 
 def test_simulate_builds_one_polygon_per_distinct_hull(monkeypatch):
     cfg = SimulationConfig(TriangleSpec(5, 7), Fraction(1, 3), 2000, 7)
-    built = []
-    init = ChainPolygon.__init__
+    checked = []
+    check_chain = montecarlo.check_chain
 
-    def counting(self, vertices, spec):
-        built.append(vertices)
-        init(self, vertices, spec)
+    def counting(vertices, spec):
+        checked.append(vertices)
+        return check_chain(vertices, spec)
 
-    monkeypatch.setattr(ChainPolygon, "__init__", counting)
+    monkeypatch.setattr(montecarlo, "check_chain", counting)
     table = simulate(cfg)
     masks = _count_masks(cfg.seed, 0, cfg.trials, 1, 3, cfg.spec.interior_count)
-    assert len(built) == len(table.counts) < len(masks)
+    # one check per distinct hull
+    assert sorted(checked) == sorted(table.counts)
+    assert len(checked) < len(masks)
     assert table.total == cfg.trials
 
 
@@ -259,7 +266,7 @@ def test_simulation_closure_and_total():
     spec = TriangleSpec(4, 5)
     cfg = SimulationConfig(spec, Fraction(1, 2), 500, 11)
     table = simulate(cfg)
-    family = set(enumerate_polygons(spec))
+    family = {p.vertices for p in enumerate_polygons(spec)}
     assert set(table.counts) <= family
     assert table.total == 500
     assert all(c >= 0 for c in table.counts.values())
@@ -281,7 +288,7 @@ def test_compare_rows_follow_enumeration_order_with_zero_counts():
     spec = TriangleSpec(3, 4)
     cfg = SimulationConfig(spec, Fraction(1, 3), 1, 5)
     report = compare(simulate(cfg), cfg)
-    assert [r.polygon for r in report.rows] == list(enumerate_polygons(spec))
+    assert [r.vertices for r in report.rows] == [p.vertices for p in enumerate_polygons(spec)]
     assert sum(r.count for r in report.rows) == 1
     assert sum(1 for r in report.rows if r.count == 0) == 3
     assert report.exact_total == 1

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticechains.cli import PolygonRecord
 from latticechains.explorer import Signature
-from latticechains.geometry import ChainPolygon, PolygonStats, TriangleSpec, polygon_stats
+from latticechains.geometry import PolygonRecord, PolygonStats, TriangleSpec, polygon_stats
 from latticechains.montecarlo import (
     ComparisonReport,
     ComparisonRow,
@@ -22,10 +21,9 @@ from latticechains.verification import IdentityReport, verify_all
 
 SPEC = TriangleSpec(3, 4)
 VERTICES = ((0, 0), (1, 1), (3, 4))
-POLY = ChainPolygon(VERTICES, SPEC)
-STATS = polygon_stats(POLY)
+STATS = polygon_stats(VERTICES, SPEC)
 CONFIG = SimulationConfig(SPEC, Fraction(1, 3), 10, 0)
-ROW = ComparisonRow(POLY, 1, 0.1, Fraction(1, 10), 0.0, False)
+ROW = ComparisonRow(VERTICES, 1, 0.1, Fraction(1, 10), 0.0, False)
 REPORT = verify_all(2, 5)
 
 
@@ -34,10 +32,7 @@ REPORT = verify_all(2, 5)
 VALUES = {
     "TriangleSpec": (lambda: TriangleSpec(3, 4), ("i", "j"),
                      {"i": 3, "j": 4}, TriangleSpec(4, 3)),
-    "ChainPolygon": (lambda: ChainPolygon(VERTICES, TriangleSpec(3, 4)), ("vertices", "spec"),
-                     {"vertices": VERTICES, "spec": SPEC},
-                     ChainPolygon(((0, 0), (3, 4)), SPEC)),
-    "PolygonStats": (lambda: polygon_stats(ChainPolygon(VERTICES, SPEC)),
+    "PolygonStats": (lambda: polygon_stats(VERTICES, SPEC),
                      ("k", "v_count", "interior", "boundary", "area2", "u", "exponent_doubled"),
                      {"k": 2, "v_count": 3, "interior": 0, "boundary": 3, "area2": 1, "u": 2,
                       "exponent_doubled": 4},
@@ -51,13 +46,13 @@ VALUES = {
                          ("spec", "x", "trials", "seed"),
                          {"spec": SPEC, "x": Fraction(1, 3), "trials": 10, "seed": 0},
                          SimulationConfig(SPEC, Fraction(1, 3), 10, 1)),
-    "FrequencyTable": (lambda: FrequencyTable({POLY: 10}), ("counts",),
-                       {"counts": {POLY: 10}}, FrequencyTable({POLY: 9})),
-    "ComparisonRow": (lambda: ComparisonRow(POLY, 1, 0.1, Fraction(1, 10), 0.0, False),
-                      ("polygon", "count", "empirical", "exact", "z", "flagged"),
-                      {"polygon": POLY, "count": 1, "empirical": 0.1, "exact": Fraction(1, 10),
+    "FrequencyTable": (lambda: FrequencyTable({VERTICES: 10}), ("counts",),
+                       {"counts": {VERTICES: 10}}, FrequencyTable({VERTICES: 9})),
+    "ComparisonRow": (lambda: ComparisonRow(VERTICES, 1, 0.1, Fraction(1, 10), 0.0, False),
+                      ("vertices", "count", "empirical", "exact", "z", "flagged"),
+                      {"vertices": VERTICES, "count": 1, "empirical": 0.1, "exact": Fraction(1, 10),
                        "z": 0.0, "flagged": False},
-                      ComparisonRow(POLY, 1, 0.1, Fraction(1, 10), 0.0, True)),
+                      ComparisonRow(VERTICES, 1, 0.1, Fraction(1, 10), 0.0, True)),
     "ComparisonReport": (lambda: ComparisonReport(CONFIG, (ROW,), Fraction(1), 4.0),
                          ("config", "rows", "exact_total", "z_threshold"),
                          {"config": CONFIG, "rows": (ROW,), "exact_total": Fraction(1),
@@ -101,7 +96,6 @@ def test_values_over_unhashable_fields_do_not_hash(name):
 
 @pytest.mark.parametrize("name, derived", [
     ("TriangleSpec", {"g": 99, "interior_count": 99}),
-    ("ChainPolygon", {"steps": ()}),
 ])
 def test_derived_fields_take_no_part_in_equality(name, derived):
     build = VALUES[name][0]
@@ -125,17 +119,15 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 
 def test_derived_fields_cannot_be_assigned():
-    for value, field in [(TriangleSpec(3, 4), "g"), (TriangleSpec(3, 4), "interior_count"),
-                         (ChainPolygon(VERTICES, SPEC), "steps")]:
+    for value, field in [(TriangleSpec(3, 4), "g"), (TriangleSpec(3, 4), "interior_count")]:
         with pytest.raises(AttributeError):
             setattr(value, field, 1)
 
 
 def test_repr_of_the_types_that_reach_error_messages():
-    # compare's "outside the family" error and the loaders' "disagree with
-    # recomputation" error print these
+    # the loaders' "disagree with recomputation" error prints a record and its
+    # stats; a triangle's repr is pinned alongside
     assert repr(SPEC) == "TriangleSpec(i=3, j=4)"
-    assert repr(POLY) == "ChainPolygon(vertices=((0, 0), (1, 1), (3, 4)), spec=TriangleSpec(i=3, j=4))"
     assert repr(STATS) == ("PolygonStats(k=2, v_count=3, interior=0, boundary=3, area2=1, u=2, "
                            "exponent_doubled=4)")
     assert repr(PolygonRecord(VERTICES, STATS)) == (
@@ -163,4 +155,3 @@ def test_copies_and_pickles_are_equal(name):
 def test_a_copy_keeps_the_derived_fields():
     spec = pickle.loads(pickle.dumps(SPEC))
     assert (spec.g, spec.interior_count) == (SPEC.g, SPEC.interior_count) == (1, 3)
-    assert copy.copy(POLY).steps == POLY.steps == ((1, 1), (2, 3))

@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latticechains import cli, enumeration, geometry, verification
-from latticechains.cli import records_for
+from latticechains import cli, enumeration, geometry, montecarlo, verification
 from latticechains.explorer import triangle_signatures
-from latticechains.geometry import ChainPolygon, TriangleSpec, polygon_stats
+from latticechains.geometry import TriangleSpec
 from latticechains.enumeration import chains_C, chains_D, enumerate_D, enumerate_polygons, region_C, region_D
 from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
@@ -106,7 +105,7 @@ def test_polygon_form_matches_pick_free_term_sum(i, j):
     spec = TriangleSpec(i, j)
     total = QHalfPoly()
     for p in enumerate_polygons(spec):
-        k = len(p.steps)
+        k = len(p.vertices) - 1
         if k == 1:
             interior, boundary = 0, segment_lattice_count((0, 0), (i, j))
         else:
@@ -137,7 +136,7 @@ def test_unit_sums_collapse_to_one(i, j):
 def test_unit_sum_term_degrees_stay_bounded():
     for i, j in [(3, 4), (5, 6), (7, 7)]:
         spec = TriangleSpec(i, j)
-        stats = [polygon_stats(p) for p in enumerate_polygons(spec)]
+        stats = [s for _, s in enumerate_polygons(spec)]
         bound = max(s.interior for s in stats) + max(s.v_count - 2 for s in stats)
         for s in stats:
             assert s.u + (s.v_count - 2) <= bound
@@ -148,7 +147,7 @@ def test_unit_sum_direct_fraction_substitution(seed=915):
     rng = random.Random(seed)
     for i, j in [(2, 3), (3, 4), (5, 5), (6, 4)]:
         spec = TriangleSpec(i, j)
-        stats = [polygon_stats(p) for p in enumerate_polygons(spec)]
+        stats = [s for _, s in enumerate_polygons(spec)]
         for _ in range(10):
             den = rng.randint(2, 40)
             num = rng.randint(1, den - 1)
@@ -243,33 +242,32 @@ def test_form_consistency_catches_a_wrong_d_walk(monkeypatch):
 
 @pytest.mark.parametrize("i", range(1, 13))
 def test_signature_matches_pick_route(i):
-    # the key route against polygon_stats over validated chain polygons
+    # the key route against the Pick route: chain_stats of each listed chain
     for j in range(1, 13):
         spec = TriangleSpec(i, j)
-        pick = Counter((s.u, s.v_count - 2) for s in map(polygon_stats, enumerate_polygons(spec)))
+        pick = Counter((s.u, s.v_count - 2) for _, s in enumerate_polygons(spec))
         assert signature(spec) == pick
 
 
 def count_validations(monkeypatch) -> Counter:
-    """Count check_steps calls, through the enumeration, geometry and cli
-    bindings all, and the polygons built."""
+    """Count check_steps calls, through the enumeration and geometry
+    bindings both, and check_chain calls, through the geometry and
+    montecarlo bindings: the one check of a chain polygon's vertices."""
     counts = Counter()
-    check_steps = geometry.check_steps
+    check_steps, check_chain = geometry.check_steps, geometry.check_chain
 
-    def counting_check(steps):
+    def counting_steps(steps):
         counts["check_steps"] += 1
         check_steps(steps)
 
-    monkeypatch.setattr(enumeration, "check_steps", counting_check)
-    monkeypatch.setattr(geometry, "check_steps", counting_check)
-    monkeypatch.setattr(cli, "check_steps", counting_check)
-    init = ChainPolygon.__init__
+    def counting_chain(vertices, spec):
+        counts["check_chain"] += 1
+        return check_chain(vertices, spec)
 
-    def counting_init(self, vertices, spec):
-        counts["polygons"] += 1
-        init(self, vertices, spec)
-
-    monkeypatch.setattr(ChainPolygon, "__init__", counting_init)
+    monkeypatch.setattr(enumeration, "check_steps", counting_steps)
+    monkeypatch.setattr(geometry, "check_steps", counting_steps)
+    monkeypatch.setattr(geometry, "check_chain", counting_chain)
+    monkeypatch.setattr(montecarlo, "check_chain", counting_chain)
     return counts
 
 
@@ -372,12 +370,12 @@ def test_triangle_signatures_check_no_chain_and_build_no_object(monkeypatch):
 
 def test_enumerate_records_check_each_chain_once_and_build_no_polygon(monkeypatch):
     counts = count_validations(monkeypatch)
-    assert len(records_for(TriangleSpec(8, 9))) == 149
+    assert len(list(enumerate_polygons(TriangleSpec(8, 9)))) == 149
     assert counts == {"check_steps": 149}
 
 
 def test_loaders_check_each_chain_once_and_build_no_polygon(monkeypatch):
-    records = records_for(TriangleSpec(8, 9))
+    records = list(enumerate_polygons(TriangleSpec(8, 9)))
     texts = [cli.records_to_json(records), cli.records_to_csv(records)]
     counts = count_validations(monkeypatch)
     assert cli.records_from_json(texts[0]) == records
