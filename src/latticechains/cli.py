@@ -162,9 +162,9 @@ def cmd_verify(args) -> int:
             print(f"  first failed check: {report.failed_check}")
             for name, ok in report.checks:
                 print(f"  {name}: {'pass' if ok else 'FAIL'}")
-            print("  term ledger (steps, k, doubled exponent):")
-            for steps, doubled, k in report.per_term_ledger:
-                print(f"    {steps} k={k} exp2={doubled}")
+            print("  term ledger (k, key, multiplicity, doubled exponent):")
+            for key, k in sorted(report.d_keys, key=lambda term: term[::-1]):
+                print(f"    k={k} key={key} mult={report.d_keys[key, k]} exp2={key + 2 - 2 * k}")
     if args.all_up_to is not None:
         print(f"{pairs - failures}/{pairs} pairs pass")
     return 1 if failures else 0

@@ -248,7 +248,6 @@ class ComparisonRow(NamedTuple):
 
 
 class ComparisonReport(NamedTuple):
-    config: SimulationConfig
     rows: tuple
     exact_total: Fraction
     z_threshold: float
@@ -286,4 +285,4 @@ def compare(table: FrequencyTable, config: SimulationConfig,
         else:
             z = (emp - float(p)) / sigma
         rows.append(ComparisonRow(vertices, count, emp, p, z, abs(z) > z_threshold))
-    return ComparisonReport(config, tuple(rows), exact_total, z_threshold)
+    return ComparisonReport(tuple(rows), exact_total, z_threshold)

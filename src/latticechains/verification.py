@@ -19,7 +19,8 @@ walks chains_D and chains_C; verify_up_to counts every pair's from one region
 walk per family, region_D and region_C, before its first report.
 check_histograms' five checks each pack a form's terms straight from a
 histogram into one polyalgebra.packed_equals; fold_terms expands a form only
-to print a failing lhs and in the public single-form functions.
+to print a failing lhs and in the public single-form functions. A failure
+report's term ledger is the D histogram its checks read, walked no second time.
 
 Both sums survive the shear (a, b) -> (a, b - a) from D to C, and on a C
 chain they are its polygon's area2 and edge-gcd sum G. With q = v^2, a D
@@ -42,7 +43,7 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from .enumeration import chains_C, chains_D, region_C, region_D
-from .geometry import Steps, TriangleSpec, pair_cross_sum, pair_gcd_sum
+from .geometry import TriangleSpec, pair_cross_sum, pair_gcd_sum
 from .polyalgebra import QHalfPoly, UnitPoly, packed_equals
 
 # names of check_histograms' checks, in the order they run
@@ -50,10 +51,16 @@ CHECK_NAMES = ("d_form", "polygon_form", "unit_sum", "unit_sum_process", "form_c
 
 
 class IdentityReport(NamedTuple):
+    """One pair's verdict. d_keys is the D key histogram {(key, k): mult}
+    that check_histograms read: the targeted walk's Counter in verify_all,
+    the region walk's dict in a sweep. A failure report lists it as its term
+    ledger, whose terms fold to lhs."""
+
     spec: TriangleSpec
     lhs: QHalfPoly
     rhs: QHalfPoly
     checks: tuple  # (name, passed) in CHECK_NAMES order
+    d_keys: dict
 
     @property
     def failed_check(self) -> Optional[str]:
@@ -63,18 +70,6 @@ class IdentityReport(NamedTuple):
     @property
     def all_passed(self) -> bool:
         return self.failed_check is None
-
-    @property
-    def per_term_ledger(self) -> tuple:
-        """(steps, doubled exponent, k) per D term, by increasing k, from
-        chains_D run again, unvalidated: as verify_all's checks read it, but
-        not the region walk a sweep's checks read."""
-        return tuple((steps, d_term_doubled_exponent(steps), len(steps))
-                     for steps in sorted(chains_D(self.spec.i, self.spec.n), key=len))
-
-
-def d_term_doubled_exponent(steps: Steps) -> int:
-    return 2 * (1 - len(steps)) + pair_cross_sum(steps) + pair_gcd_sum(steps)
 
 
 def _term_keys(chains) -> Counter:
@@ -167,7 +162,7 @@ def check_histograms(i: int, n: int, d_keys, c_keys) -> IdentityReport:
         d_keys == c_keys,
     )))
     lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(_q_terms(d_keys, 0))
-    return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks)
+    return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks, d_keys=d_keys)
 
 
 def verify_all(i: int, n: int) -> IdentityReport:

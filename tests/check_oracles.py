@@ -9,7 +9,9 @@ form, as the packed checks refuse it.
 
 The signature floors (key - g)/2, as the checks once did: a key off Pick's
 parity, key - g odd, lands on a neighbouring term here, where the packed
-unit sums refuse it."""
+unit sums refuse it.
+
+edited makes the failing histograms these checks are tried on."""
 
 from collections import Counter
 
@@ -43,3 +45,22 @@ def checks_oracle(i: int, n: int, d_keys, c_keys) -> tuple:
         folds_to(UnitPoly, _swapped(sig), UnitPoly.one()),
         d_keys == c_keys,
     )))
+
+
+def edited(keys, edits, empty: bool) -> Counter:
+    """The histogram with its picked terms' keys moved by delta, their k by
+    +-1, their multiplicities changed, or dropped, and the terms added."""
+    hist = Counter() if empty else Counter(keys)
+    for kind, pick, delta, mult in edits:
+        if kind == "add" or not hist:
+            hist[pick, delta + 3] += mult
+            continue
+        key, k = sorted(hist)[pick % len(hist)]
+        old = hist.pop((key, k))
+        if kind == "key":
+            hist[key + delta, k] += old
+        elif kind == "k":
+            hist[key, k + (1 if delta > 0 else -1)] += old
+        elif kind == "mult":
+            hist[key, k] = old + delta if old + delta > 0 else mult
+    return hist

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +24,11 @@ from latticechains.cli import (
     records_to_csv,
     records_to_json,
 )
-from latticechains.enumeration import enumerate_polygons
+from latticechains.enumeration import enumerate_polygons, region_D
 from latticechains.geometry import PolygonStats, TriangleSpec
 from latticechains.polyalgebra import QHalfPoly
 
+from check_oracles import edited
 from scan_oracles import interior_count, segment_lattice_count, u_count
 
 
@@ -79,9 +81,9 @@ i=2 n=5: lhs = q^(3/2), rhs = q^(5/2)  FAIL
   unit_sum: pass
   unit_sum_process: pass
   form_consistency: pass
-  term ledger (steps, k, doubled exponent):
-    ((2, 5),) k=1 exp2=1
-    ((1, 2), (1, 3)) k=2 exp2=1
+  term ledger (k, key, multiplicity, doubled exponent):
+    k=1 key=1 mult=1 exp2=1
+    k=2 key=3 mult=1 exp2=1
 """
 
 
@@ -104,10 +106,10 @@ i=2 n=5: lhs = q^(3/2), rhs = q^(3/2)  FAIL
   unit_sum: pass
   unit_sum_process: pass
   form_consistency: FAIL
-  term ledger (steps, k, doubled exponent):
-    ((2, 5),) k=1 exp2=1
-    ((1, 3), (1, 2)) k=2 exp2=-1
-    ((1, 1), (1, 1), (1, 1)) k=3 exp2=-1
+  term ledger (k, key, multiplicity, doubled exponent):
+    k=1 key=1 mult=1 exp2=1
+    k=2 key=1 mult=1 exp2=-1
+    k=3 key=3 mult=1 exp2=-1
 """
 
 
@@ -131,7 +133,8 @@ def test_a_failing_sweep_prints_each_pair_as_verify_does(capsys, monkeypatch):
 
 def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
     # the three chains of test_form_consistency_catches_a_wrong_d_walk, two
-    # of them invalid: the ledger lists them as the checks read them
+    # of them invalid: the ledger lists their keys as the checks read them,
+    # k = 3 among them, more steps than i = 2 allows
     import latticechains.verification as verification
 
     wrong = (((2, 5),), ((1, 1), (1, 1), (1, 1)), ((1, 3), (1, 2)))
@@ -139,6 +142,35 @@ def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--i", "2", "--n", "5")
     assert code == 1
     assert out == WRONG_D_WALK_REPORT
+
+
+LEDGER_ROW = re.compile(r"    k=(\d+) key=(-?\d+) mult=(\d+) exp2=(-?\d+)")
+
+
+@pytest.mark.parametrize("kind", ["drop", "key", "mult"])
+def test_a_sweep_ledger_lists_the_histogram_its_checks_read(capsys, monkeypatch, kind):
+    # one edit of that kind to every pair's D histogram, so every pair fails
+    # form_consistency at least; each block lists the edited histogram, not
+    # the chains a second walk would find, and folds to the lhs it prints
+    import latticechains.verification as verification
+
+    hists = {(i, n): edited(keys, [(kind, i * n, (-2, -1, 1, 2)[(i + n) % 4], 5)], False)
+             for (i, n), keys in region_D(6).items()}
+    monkeypatch.setattr(verification, "region_D", lambda max_b: hists)
+    code, out, _ = run(capsys, "verify", "--all-up-to", "6")
+    assert code == 1
+    assert out.endswith("\n0/15 pairs pass\n")
+    blocks = re.split(r"^(?=i=)", out, flags=re.M)[1:]
+    assert len(blocks) == 15
+    for block in blocks:
+        i, n, lhs = re.match(r"i=(\d+) n=(\d+): lhs = (.*), rhs = ", block).groups()
+        rows = [tuple(map(int, row)) for row in LEDGER_ROW.findall(block)]
+        assert {(key, k): mult for k, key, mult, _ in rows} == hists[int(i), int(n)]
+        assert len(rows) == len(hists[int(i), int(n)])
+        assert [(k, key) for k, key, _, _ in rows] == sorted((k, key) for k, key, _, _ in rows)
+        # (q - 1)^(k-1) q^(exp2/2) = v^(exp2 + 2k - 2) (1 - v^-2)^(k-1)
+        folded = QHalfPoly.fold_terms({(exp2 + 2 * k - 2, k - 1): mult for k, _, mult, exp2 in rows})
+        assert folded.render() == lhs, block
 
 
 # the directory holding the package this suite imported: src/ in a checkout,
@@ -229,6 +261,10 @@ EXIT_MATRIX = {
     "bad-option-full-stderr": (["simulate", "--i", "2", "--j", "3", "--x", "3/2", "--trials", "5"],
                                "2>/dev/full", "", ""),
     "help-full-stdout": (["--help"], ">/dev/full", "", FULL),
+    # --seed takes any nonnegative int; SimulationConfig refuses this one
+    "seed-past-64-bits": (["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "5",
+                           "--seed", "18446744073709551616"], "", "",
+                          "seed must fit in 64 unsigned bits\n"),
     "subcommand-help-full-stdout": (["verify", "--help"], ">/dev/full", "", FULL),
     "closed-stdout-full-stderr": (["verify", "--i", "2", "--n", "5"], ">&- 2>/dev/full", "", ""),
     # the one-command parser leaves --bogus over, so the full parser refuses it

@@ -270,6 +270,12 @@ def test_non_int_triangle_legs_are_refused(legs):
         TriangleSpec(*legs)
 
 
+@pytest.mark.parametrize("legs", [(0, 3), (3, 0)], ids=["zero-i", "zero-j"])
+def test_triangle_legs_below_one_are_refused(legs):
+    with pytest.raises(ValueError, match=r"triangle legs must be >= 1"):
+        TriangleSpec(*legs)
+
+
 @pytest.mark.parametrize("point", [(2.0, 2), [2, 2]], ids=["float-coordinate", "list-point"])
 def test_convex_hull_chain_rejects_non_int_points_that_are_not_extreme(point):
     spec = TriangleSpec(3, 4)

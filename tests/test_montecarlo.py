@@ -106,6 +106,12 @@ def test_parallel_matches_serial():
         assert serial.counts == parallel.counts
 
 
+def test_simulate_refuses_fewer_than_one_job():
+    cfg = SimulationConfig(TriangleSpec(2, 3), Fraction(1, 2), 10, 0)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
+        simulate(cfg, jobs=0)
+
+
 def test_pool_uses_at_most_one_worker_per_core(monkeypatch):
     import concurrent.futures
 

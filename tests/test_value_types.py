@@ -22,7 +22,6 @@ from latticechains.verification import IdentityReport, verify_all
 SPEC = TriangleSpec(3, 4)
 VERTICES = ((0, 0), (1, 1), (3, 4))
 STATS = polygon_stats(VERTICES, SPEC)
-CONFIG = SimulationConfig(SPEC, Fraction(1, 3), 10, 0)
 ROW = ComparisonRow(VERTICES, 1, 0.1, Fraction(1, 10), 0.0, False)
 REPORT = verify_all(2, 5)
 
@@ -53,16 +52,15 @@ VALUES = {
                       {"vertices": VERTICES, "count": 1, "empirical": 0.1, "exact": Fraction(1, 10),
                        "z": 0.0, "flagged": False},
                       ComparisonRow(VERTICES, 1, 0.1, Fraction(1, 10), 0.0, True)),
-    "ComparisonReport": (lambda: ComparisonReport(CONFIG, (ROW,), Fraction(1), 4.0),
-                         ("config", "rows", "exact_total", "z_threshold"),
-                         {"config": CONFIG, "rows": (ROW,), "exact_total": Fraction(1),
-                          "z_threshold": 4.0},
-                         ComparisonReport(CONFIG, (ROW,), Fraction(1), 5.0)),
-    "IdentityReport": (lambda: verify_all(2, 5), ("spec", "lhs", "rhs", "checks"),
+    "ComparisonReport": (lambda: ComparisonReport((ROW,), Fraction(1), 4.0),
+                         ("rows", "exact_total", "z_threshold"),
+                         {"rows": (ROW,), "exact_total": Fraction(1), "z_threshold": 4.0},
+                         ComparisonReport((ROW,), Fraction(1), 5.0)),
+    "IdentityReport": (lambda: verify_all(2, 5), ("spec", "lhs", "rhs", "checks", "d_keys"),
                        {"spec": REPORT.spec, "lhs": REPORT.lhs, "rhs": REPORT.rhs,
-                        "checks": REPORT.checks},
+                        "checks": REPORT.checks, "d_keys": REPORT.d_keys},
                        IdentityReport(REPORT.spec, REPORT.lhs, REPORT.rhs,
-                                      (("d_form", False), *REPORT.checks[1:]))),
+                                      (("d_form", False), *REPORT.checks[1:]), REPORT.d_keys)),
 }
 # FrequencyTable holds a dict, and IdentityReport polynomials, which do not hash
 HASHABLE = sorted(VALUES.keys() - {"FrequencyTable", "IdentityReport"})

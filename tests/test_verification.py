@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 from latticechains import cli, enumeration, geometry, montecarlo, verification
 from latticechains.explorer import triangle_signatures
 from latticechains.geometry import TriangleSpec
-from latticechains.enumeration import chains_C, chains_D, enumerate_D, enumerate_polygons, region_C, region_D
+from latticechains.enumeration import chains_C, chains_D, enumerate_polygons, region_C, region_D
 from latticechains.polyalgebra import QHalfPoly, UnitPoly
 from latticechains.verification import (
     CHECK_NAMES,
     _term_keys,
     check_histograms,
-    d_term_doubled_exponent,
     key_signature,
     lhs_main_via_polygons,
     rhs_main,
@@ -37,7 +36,7 @@ from latticechains.verification import (
     verify_up_to,
 )
 
-from check_oracles import checks_oracle
+from check_oracles import checks_oracle, edited
 from scan_oracles import segment_lattice_count
 from test_enumeration import oracle_D
 from test_geometry import oracle_boundary_scan, oracle_interior_scan
@@ -190,16 +189,6 @@ def test_the_sweep_reports_what_verify_all_reports():
     assert reports == [verify_all(r.spec.i, r.spec.n) for r in reports]
 
 
-def test_report_ledger_matches_enumeration():
-    report = verify_all(3, 7)
-    ds = list(enumerate_D(3, 7))
-    assert len(report.per_term_ledger) == len(ds)
-    for (element, doubled, k), d in zip(report.per_term_ledger, ds):
-        assert element == d
-        assert k == len(d)
-        assert doubled == d_term_doubled_exponent(d)
-
-
 def test_form_consistency_factor():
     for i, n in [(1, 2), (2, 5), (3, 7), (4, 10), (5, 11)]:
         spec = TriangleSpec(i, n - i)
@@ -307,25 +296,6 @@ SMALL_D, SMALL_C = region_D(9), region_C(8, 8, 9)
 EDITS = st.lists(st.tuples(st.sampled_from(("key", "k", "mult", "drop", "add")),
                            st.integers(0, 99), st.sampled_from((-2, -1, 1, 2)),
                            st.integers(1, 2**64)), max_size=2)
-
-
-def edited(keys, edits, empty: bool) -> Counter:
-    """The histogram with its picked terms' keys moved by delta, their k by
-    +-1, their multiplicities changed, or dropped, and the terms added."""
-    hist = Counter() if empty else Counter(keys)
-    for kind, pick, delta, mult in edits:
-        if kind == "add" or not hist:
-            hist[pick, delta + 3] += mult
-            continue
-        key, k = sorted(hist)[pick % len(hist)]
-        old = hist.pop((key, k))
-        if kind == "key":
-            hist[key + delta, k] += old
-        elif kind == "k":
-            hist[key, k + (1 if delta > 0 else -1)] += old
-        elif kind == "mult":
-            hist[key, k] = old + delta if old + delta > 0 else mult
-    return hist
 
 
 @SETTINGS
