@@ -155,7 +155,8 @@ def cmd_verify(args) -> int:
     for report in reports:
         pairs += 1
         verdict = "PASS" if report.all_passed else "FAIL"
-        print(f"i={report.spec.i} n={report.spec.n}: lhs = {report.lhs.render()}, "
+        lhs = "not a polynomial (a term has k < 1)" if report.lhs is None else report.lhs.render()
+        print(f"i={report.spec.i} n={report.spec.n}: lhs = {lhs}, "
               f"rhs = {report.rhs.render()}  {verdict}")
         if not report.all_passed:
             failures += 1
@@ -212,7 +213,9 @@ def cmd_explore(args) -> int:
     except MemoryError:
         return refuse("search ran out of memory; lower --max-a, --max-b or --max-size")
     try:
-        signatures = triangle_signatures(args.max_m, args.max_n) if found else {}
+        # collapsing shrinks a multiset, so only exact matching filters by size
+        sizes = None if args.collapse_sets else {len(sig) for sig in found}
+        signatures = triangle_signatures(args.max_m, args.max_n, sizes) if found else {}
     except MemoryError:
         return refuse("triangle box ran out of memory; lower --max-m or --max-n")
     if args.collapse_sets:

@@ -16,6 +16,12 @@ that many values of b.
 
 Unlike the composition steps, exponents here may be 0 (the pair (0,1) is
 required in every searched multiset, and it has a = 0).
+
+A signature has one element per chain, N(m, n) in all, so it can equal only
+a multiset of that size: explore builds the signatures of just the
+triangles whose family size is that of some multiset it found. With
+multiplicities dropped (--collapse-sets) sizes shrink, and every triangle's
+signature is built.
 """
 
 from __future__ import annotations
@@ -175,14 +181,23 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
     return sorted(found, key=lambda s: (len(s), s.pairs))
 
 
-def triangle_signatures(max_m: int, max_n: int) -> dict:
-    """{(m, n): triangle_signature(m, n)} for every triangle within bounds,
-    in row-major (m, n) order, all read from one walk over the box."""
+def triangle_signatures(max_m: int, max_n: int, sizes=None) -> dict:
+    """{(m, n): triangle_signature(m, n)} in row-major (m, n) order for the
+    triangles within bounds whose family size is in sizes, or for every one
+    if sizes is None, all read from one walk over the box.
+
+    The family size N(m, n) is the sum of the C histogram's multiplicities,
+    and the signature has exactly N(m, n) elements: u = I_T - (key - g)/2 is
+    injective in key, so distinct (key, k) give distinct pairs. Equal
+    multisets have equal sizes, so a caller matching multisets of the sizes
+    in sizes loses no match. Dropping multiplicities (as_set) shrinks a
+    multiset and breaks that rule: a caller that collapses passes no sizes."""
     if max_m < 1 or max_n < 1:
         raise ValueError("triangle bounds must be >= 1")
     hists = region_C(max_m, max_n, max_m + max_n)
     return {(m, n): Signature(tuple(key_signature(hists[m, n], TriangleSpec(m, n)).elements()))
-            for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
+            for m in range(1, max_m + 1) for n in range(1, max_n + 1)
+            if sizes is None or sum(hists[m, n].values()) in sizes}
 
 
 def match_signature(sig: Signature, signatures: dict) -> list:

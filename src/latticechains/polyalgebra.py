@@ -53,9 +53,13 @@ class _Poly:
     @classmethod
     def fold_terms(cls, histogram):
         """Sum of mult * y^shift * (1 - y^step)^power over a {(shift, power):
-        mult} mapping, with the type's own step; the empty mapping gives zero."""
+        mult} mapping, with the type's own step; the empty mapping gives zero.
+        A power below 0 is no polynomial and a ValueError, as packed_equals
+        refuses it."""
         coeffs = {}
         for (shift, power), mult in histogram.items():
+            if power < 0:
+                raise ValueError(f"power {power} of (1 - y^step) is below 0")
             for t in range(power + 1):
                 e = shift + cls._step * t
                 coeffs[e] = coeffs.get(e, 0) + (-mult if t & 1 else mult) * comb(power, t)

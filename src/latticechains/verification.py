@@ -20,7 +20,9 @@ walk per family, region_D and region_C, before its first report.
 check_histograms' five checks each pack a form's terms straight from a
 histogram into one polyalgebra.packed_equals; fold_terms expands a form only
 to print a failing lhs and in the public single-form functions. A failure
-report's term ledger is the D histogram its checks read, walked no second time.
+report's term ledger is the D histogram its checks read, walked no second time;
+a term with k < 1, a negative power of (q - 1), folds to no polynomial, and
+the report says so in place of an lhs.
 
 Both sums survive the shear (a, b) -> (a, b - a) from D to C, and on a C
 chain they are its polygon's area2 and edge-gcd sum G. With q = v^2, a D
@@ -54,10 +56,11 @@ class IdentityReport(NamedTuple):
     """One pair's verdict. d_keys is the D key histogram {(key, k): mult}
     that check_histograms read: the targeted walk's Counter in verify_all,
     the region walk's dict in a sweep. A failure report lists it as its term
-    ledger, whose terms fold to lhs."""
+    ledger, whose terms fold to lhs; lhs is None if a term has k < 1, a
+    negative power of (q - 1), so the ledger folds to no polynomial."""
 
     spec: TriangleSpec
-    lhs: QHalfPoly
+    lhs: Optional[QHalfPoly]
     rhs: QHalfPoly
     checks: tuple  # (name, passed) in CHECK_NAMES order
     d_keys: dict
@@ -161,7 +164,10 @@ def check_histograms(i: int, n: int, d_keys, c_keys) -> IdentityReport:
         _packs_to(c_keys, u_top, 1, swapped=True),
         d_keys == c_keys,
     )))
-    lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(_q_terms(d_keys, 0))
+    try:
+        lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(_q_terms(d_keys, 0))
+    except ValueError:  # a term with k < 1
+        lhs = None
     return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks, d_keys=d_keys)
 
 

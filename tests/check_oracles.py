@@ -27,11 +27,9 @@ def floored_signature(keys, spec: TriangleSpec) -> Counter:
 
 
 def folds_to(cls, terms, target) -> bool:
-    if any(power < 0 for _, power in terms):
-        return False
     try:
         return cls.fold_terms(terms) == target
-    except ValueError:  # a negative power of x, which no UnitPoly holds
+    except ValueError:  # a power below 0, or a negative power of x in a UnitPoly
         return False
 
 

@@ -144,6 +144,44 @@ def test_a_wrong_d_walk_is_reported_in_full(capsys, monkeypatch):
     assert out == WRONG_D_WALK_REPORT
 
 
+EMPTY_CHAIN_REPORT = """\
+i=2 n=5: lhs = not a polynomial (a term has k < 1), rhs = q^(3/2)  FAIL
+  first failed check: d_form
+  d_form: FAIL
+  polygon_form: pass
+  unit_sum: pass
+  unit_sum_process: pass
+  form_consistency: FAIL
+  term ledger (k, key, multiplicity, doubled exponent):
+    k=0 key=0 mult=1 exp2=2
+    k=1 key=1 mult=1 exp2=1
+    k=2 key=3 mult=1 exp2=1
+"""
+
+
+def test_a_term_with_no_steps_is_reported_as_no_polynomial(capsys, monkeypatch):
+    # the empty chain has k = 0: (q - 1)^-1 is no polynomial, so the report
+    # says so in place of an lhs
+    import latticechains.verification as verification
+
+    real = verification.chains_D
+    monkeypatch.setattr(verification, "chains_D", lambda i, n: iter([*real(i, n), ()]))
+    assert run(capsys, "verify", "--i", "2", "--n", "5") == (1, EMPTY_CHAIN_REPORT, "")
+
+
+def test_a_sweep_with_a_term_of_no_steps_fails_each_pair_without_a_traceback(
+        capsys, monkeypatch):
+    import latticechains.verification as verification
+
+    hists = {pair: {**keys, (0, 0): 1} for pair, keys in region_D(5).items()}
+    monkeypatch.setattr(verification, "region_D", lambda max_b: hists)
+    code, out, err = run(capsys, "verify", "--all-up-to", "5")
+    assert (code, err) == (1, "")
+    assert out.count(": lhs = not a polynomial (a term has k < 1), rhs = ") == 10
+    assert out.count("    k=0 key=0 mult=1 exp2=2\n") == 10
+    assert out.endswith("\n0/10 pairs pass\n")
+
+
 LEDGER_ROW = re.compile(r"    k=(\d+) key=(-?\d+) mult=(\d+) exp2=(-?\d+)")
 
 
@@ -693,6 +731,39 @@ def test_explore_triangle_box_out_of_memory_exits_two(capsys, monkeypatch):
     assert run(capsys, "explore", "--max-a", "1", "--max-b", "1", "--max-size", "2",
                "--max-m", "100000", "--max-n", "100000") == (
         2, "", "triangle box ran out of memory; lower --max-m or --max-n\n")
+
+
+@pytest.mark.parametrize("collapse", [[], ["--collapse-sets"]])
+def test_explore_prints_what_the_whole_box_gives(capsys, monkeypatch, collapse):
+    # the 154 multisets of (5,4,8), against every box up to 8x8, matched in
+    # the box filtered by their sizes and in the whole box
+    argv = ["explore", "--max-a", "5", "--max-b", "4", "--max-size", "8", *collapse]
+    real = cli.triangle_signatures
+    for max_m in range(1, 9):
+        for max_n in range(1, 9):
+            box = ["--max-m", str(max_m), "--max-n", str(max_n)]
+            filtered = run(capsys, *argv, *box)
+            with monkeypatch.context() as whole:
+                whole.setattr(cli, "triangle_signatures", lambda m, n, sizes=None: real(m, n))
+                assert run(capsys, *argv, *box) == filtered, box
+
+
+@pytest.mark.parametrize("argv, built", [
+    # the benchmark workload: sizes {2, 3, 4}, 13 of 49 triangles
+    (("--max-a", "4", "--max-b", "3", "--max-size", "4", "--max-m", "7", "--max-n", "7"), 13),
+    # its stated inputs: sizes 2 to 6, 20 of 64
+    (("--max-a", "4", "--max-b", "3", "--max-size", "6", "--max-m", "8", "--max-n", "8"), 20),
+    # collapsing shrinks the sizes, so every one of the 64 is built
+    (("--max-a", "4", "--max-b", "3", "--max-size", "4", "--collapse-sets"), 64),
+])
+def test_explore_builds_the_signatures_of_found_sizes_only(capsys, monkeypatch, argv, built):
+    import latticechains.explorer as explorer
+
+    calls = []
+    real = explorer.key_signature
+    monkeypatch.setattr(explorer, "key_signature", lambda *args: calls.append(1) or real(*args))
+    assert run(capsys, "explore", *argv)[0] == 0
+    assert len(calls) == built
 
 
 def test_explore_collapse_sets_flag(capsys):

@@ -6,6 +6,8 @@ import sys
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticechains.explorer import (
     SearchCapExceeded,
@@ -180,3 +182,34 @@ def test_match_signature_round_trip():
         assert (m, n) in matches
         for mm, nn in matches:
             assert triangle_signature(mm, nn) == sig
+
+
+def test_the_size_filter_keeps_the_triangles_of_those_sizes():
+    full = triangle_signatures(8, 8)
+    for sizes in (set(), {1}, {2, 3, 4}, {7, 9}, {5, 106}, set(range(1, 200))):
+        assert triangle_signatures(8, 8, sizes) == {
+            mn: sig for mn, sig in full.items() if len(sig) in sizes}
+
+
+FOUND_5_4_8 = search_unit_multisets(5, 4, 8)
+PAIRS = st.tuples(st.integers(0, 8), st.integers(0, 4))
+# sizes 1 to 10: (0,0) alone is the signature of every one-chain triangle,
+# and no triangle up to 8x8 has a family of 7 or 9
+RANDOM_SIGNATURES = st.lists(st.lists(PAIRS, min_size=1, max_size=10).map(
+    lambda pairs: Signature(tuple(pairs))), max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 8), st.integers(1, 8), RANDOM_SIGNATURES, st.data())
+def test_the_filtered_box_matches_as_the_whole_box(max_m, max_n, drawn, data):
+    # every multiset the (5,4,8) search finds, random multisets, and some of
+    # the box's own signatures, matched against the box filtered by their
+    # sizes and against the whole box
+    full = triangle_signatures(max_m, max_n)
+    own = data.draw(st.lists(st.sampled_from(sorted(full.values(), key=len)), max_size=3))
+    queries = FOUND_5_4_8 + drawn + own + [Signature(((0, 0),))]
+    filtered = triangle_signatures(max_m, max_n, {len(sig) for sig in queries})
+    for sig in queries:
+        assert match_signature(sig, filtered) == match_signature(sig, full), sig
+    for sig in own:
+        assert match_signature(sig, filtered)

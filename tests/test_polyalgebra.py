@@ -47,6 +47,14 @@ def test_each_type_folds_with_its_own_step():
     assert UnitPoly.fold_terms({(0, 1): 1}).render() == "-x + 1"
 
 
+@pytest.mark.parametrize("cls", [QHalfPoly, UnitPoly])
+def test_a_power_below_zero_is_refused(cls):
+    # (1 - y^step)^-1 is no polynomial: the fold refuses it, as packed_equals does
+    with pytest.raises(ValueError, match="power -1"):
+        cls.fold_terms({(0, 0): 1, (3, -1): 7})
+    assert not packed_equals([(0, 0, 1), (3, -1, 7)], 1, 0)
+
+
 def test_q_minus_one_times_sqrt_q():
     # (q - 1) * q^(1/2) = q^(3/2) - q^(1/2), i.e. v^3 - v
     got = Q_MINUS_ONE * QHalfPoly.monomial(1)

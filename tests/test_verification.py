@@ -229,6 +229,15 @@ def test_form_consistency_catches_a_wrong_d_walk(monkeypatch):
     assert [name for name, ok in report.checks if not ok] == ["form_consistency"]
 
 
+def test_a_term_with_k_0_leaves_no_lhs():
+    # (q - 1)^-1 q^(5/2) is no polynomial, so there is no lhs to print
+    report = check_histograms(2, 5, {(1, 1): 1, (3, 2): 1, (5, 0): 7},
+                              {(1, 1): 1, (3, 2): 1})
+    assert report.lhs is None
+    assert report.failed_check == "d_form"
+    assert [name for name, ok in report.checks if not ok] == ["d_form", "form_consistency"]
+
+
 @pytest.mark.parametrize("i", range(1, 13))
 def test_signature_matches_pick_route(i):
     # the key route against the Pick route: chain_stats of each listed chain
