@@ -155,9 +155,14 @@ def cmd_verify(args) -> int:
     for report in reports:
         pairs += 1
         verdict = "PASS" if report.all_passed else "FAIL"
-        lhs = "not a polynomial (a term has k < 1)" if report.lhs is None else report.lhs.render()
-        print(f"i={report.spec.i} n={report.spec.n}: lhs = {lhs}, "
-              f"rhs = {report.rhs.render()}  {verdict}")
+        rhs = report.rhs.render()
+        if report.lhs is report.rhs:  # a passing d_form prints its rhs as lhs
+            lhs = rhs
+        elif report.lhs is None:
+            lhs = "not a polynomial (a term has k < 1)"
+        else:
+            lhs = report.lhs.render()
+        print(f"i={report.spec.i} n={report.spec.n}: lhs = {lhs}, rhs = {rhs}  {verdict}")
         if not report.all_passed:
             failures += 1
             print(f"  first failed check: {report.failed_check}")

@@ -21,7 +21,9 @@ A signature has one element per chain, N(m, n) in all, so it can equal only
 a multiset of that size: explore builds the signatures of just the
 triangles whose family size is that of some multiset it found. With
 multiplicities dropped (--collapse-sets) sizes shrink, and every triangle's
-signature is built.
+signature is built. When every found size is 2 or more, the walk stops at
+legs of twice the largest, past which every family is larger (see
+triangle_signatures).
 """
 
 from __future__ import annotations
@@ -191,9 +193,17 @@ def triangle_signatures(max_m: int, max_n: int, sizes=None) -> dict:
     injective in key, so distinct (key, k) give distinct pairs. Equal
     multisets have equal sizes, so a caller matching multisets of the sizes
     in sizes loses no match. Dropping multiplicities (as_set) shrinks a
-    multiset and breaks that rule: a caller that collapses passes no sizes."""
+    multiset and breaks that rule: a caller that collapses passes no sizes.
+
+    When every size is at least 2 the walk stops at legs of 2s, s the
+    largest size: N is 1 on the legs m = 1 and n = 1, and for m >= 2 and
+    n > 2s, N(m, n) >= N(2, n) = 1 + (n - 1)//2 > s, as N is monotone in
+    each leg and symmetric; so no triangle past 2s has a size in sizes."""
     if max_m < 1 or max_n < 1:
         raise ValueError("triangle bounds must be >= 1")
+    if sizes and min(sizes) >= 2:
+        reach = 2 * max(sizes)
+        max_m, max_n = min(max_m, reach), min(max_n, reach)
     hists = region_C(max_m, max_n, max_m + max_n)
     return {(m, n): Signature(tuple(key_signature(hists[m, n], TriangleSpec(m, n)).elements()))
             for m in range(1, max_m + 1) for n in range(1, max_n + 1)

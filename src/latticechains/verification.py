@@ -17,12 +17,29 @@ form is one shift of a key histogram {(key, k): mult}, key = cross + gcdsum
 over a chain's bare steps. verify_all counts a pair's two off the targeted
 walks chains_D and chains_C; verify_up_to counts every pair's from one region
 walk per family, region_D and region_C, before its first report.
-check_histograms' five checks each pack a form's terms straight from a
-histogram into one polyalgebra.packed_equals; fold_terms expands a form only
-to print a failing lhs and in the public single-form functions. A failure
-report's term ledger is the D histogram its checks read, walked no second time;
-a term with k < 1, a negative power of (q - 1), folds to no polynomial, and
-the report says so in place of an lhs.
+
+check_histograms gives five verdicts from three packed tests and one dict
+compare. With E = i*j - n + 2, which by Pick is rhs_main's exponent,
+rhs_main_via_polygons' less g + 2, and 2*I_T + g, write T(h) for "the sum
+of mult * z^((E - key)/2) * (1 - z)^(k-1) over the histogram h is 1" and
+T'(h) for the same with the two factors swapped:
+
+    check             reads
+    d_form            T(D)
+    polygon_form      T(C); T(D)'s result if D and C are equal as plain dicts
+    unit_sum          T(C): polygon_form's result, as their targets agree
+    unit_sum_process  T'(C), always computed: a second evaluation
+    form_consistency  D == C
+
+A verdict reads another's result only when both are the same call: equal
+(top, c, swapped), read off the targets, and histograms equal as plain
+dicts, as Counter's == takes a term of multiplicity 0 for no term. So a
+patched target is packed on its own. Each test packs the form's terms
+straight from the histogram into one polyalgebra.packed_equals; fold_terms
+expands a form only to print a failing lhs and in the public single-form
+functions. A failure report's term ledger is the D histogram its checks
+read, walked no second time; a term with k < 1, a negative power of
+(q - 1), folds to no polynomial, and the report says so in place of an lhs.
 
 Both sums survive the shear (a, b) -> (a, b - a) from D to C, and on a C
 chain they are its polygon's area2 and edge-gcd sum G. With q = v^2, a D
@@ -156,16 +173,23 @@ def check_histograms(i: int, n: int, d_keys, c_keys) -> IdentityReport:
     rhs = rhs_main(i, n)  # refuses a bad (i, n) first
     spec = TriangleSpec(i, n - i)
     [(e, c)], [(e_p, c_p)] = rhs.items(), rhs_main_via_polygons(spec).items()
+    polygon_call = (e_p - spec.g - 2, c_p)
     u_top = 2 * spec.interior_count + spec.g  # u(P) = I_T - (key - g)/2
+    # a check reads another's result only on the same call; Counter's == would
+    # equate a term of multiplicity 0, which a packed check can refuse, with none
+    same_keys = d_keys.items() == c_keys.items()
+    d_form = _packs_to(d_keys, e, c)
+    polygon_form = (d_form if same_keys and polygon_call == (e, c)
+                    else _packs_to(c_keys, *polygon_call))
     checks = tuple(zip(CHECK_NAMES, (
-        _packs_to(d_keys, e, c),
-        _packs_to(c_keys, e_p - spec.g - 2, c_p),
-        _packs_to(c_keys, u_top, 1),
+        d_form,
+        polygon_form,
+        polygon_form if polygon_call == (u_top, 1) else _packs_to(c_keys, u_top, 1),
         _packs_to(c_keys, u_top, 1, swapped=True),
-        d_keys == c_keys,
+        same_keys or d_keys == c_keys,
     )))
     try:
-        lhs = rhs if checks[0][1] else QHalfPoly.fold_terms(_q_terms(d_keys, 0))
+        lhs = rhs if d_form else QHalfPoly.fold_terms(_q_terms(d_keys, 0))
     except ValueError:  # a term with k < 1
         lhs = None
     return IdentityReport(spec=spec, lhs=lhs, rhs=rhs, checks=checks, d_keys=d_keys)

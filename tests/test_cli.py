@@ -98,6 +98,20 @@ def test_verify_failure_report_is_pinned(capsys, monkeypatch):
     assert out == VERIFY_FAILURE_REPORT
 
 
+def test_a_wrong_polygon_target_fails_polygon_form_alone(capsys, monkeypatch):
+    # polygon_form's target is no longer d_form's, so it is packed on its
+    # own and fails, while unit_sum, on the same histogram, still passes
+    import latticechains.verification as verification
+
+    monkeypatch.setattr(verification, "rhs_main_via_polygons",
+                        lambda spec: QHalfPoly.monomial(spec.i * spec.j - spec.n + spec.g + 6))
+    code, out, _ = run(capsys, "verify", "--i", "2", "--n", "5")
+    assert code == 1
+    assert out.startswith("i=2 n=5: lhs = q^(3/2), rhs = q^(3/2)  FAIL\n"
+                          "  first failed check: polygon_form\n")
+    assert re.findall(r"  (\w+): FAIL\n", out) == ["polygon_form"]
+
+
 WRONG_D_WALK_REPORT = """\
 i=2 n=5: lhs = q^(3/2), rhs = q^(3/2)  FAIL
   first failed check: form_consistency

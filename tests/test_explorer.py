@@ -191,6 +191,34 @@ def test_the_size_filter_keeps_the_triangles_of_those_sizes():
             mn: sig for mn, sig in full.items() if len(sig) in sizes}
 
 
+# the family sizes each search up to (5,4,8) finds: {}, {2}, {2, 3}, ... {2, ..., 8}
+FOUND_SIZES = sorted({frozenset(len(sig) for sig in search_unit_multisets(a, b, size))
+                      for a in range(6) for b in range(5) for size in range(1, 9)}, key=sorted)
+
+
+def test_the_walk_bounded_by_the_sizes_keeps_every_triangle_of_those_sizes(monkeypatch):
+    # sizes s >= 2 stop the walk at legs of 2 * max(s); every box up to
+    # 12x12 must still give the whole box's map, in the same order
+    import latticechains.explorer as explorer
+
+    whole = triangle_signatures(12, 12)
+    walks = []
+    real = explorer.region_C
+    monkeypatch.setattr(explorer, "region_C", lambda *bounds: walks.append(bounds) or real(*bounds))
+    for sizes in FOUND_SIZES:
+        for max_m in range(1, 13):
+            for max_n in range(1, 13):
+                assert list(triangle_signatures(max_m, max_n, sizes).items()) == [
+                    ((m, n), sig) for (m, n), sig in whole.items()
+                    if m <= max_m and n <= max_n and len(sig) in sizes], (sizes, max_m, max_n)
+    assert len(FOUND_SIZES) == 8
+    walks.clear()
+    triangle_signatures(12, 12, {2, 3, 4})
+    triangle_signatures(7, 7, {2, 3, 4})  # the benchmark's box walks as before
+    triangle_signatures(12, 12, {1, 2})
+    assert walks == [(8, 8, 16), (7, 7, 14), (12, 12, 24)]
+
+
 FOUND_5_4_8 = search_unit_multisets(5, 4, 8)
 PAIRS = st.tuples(st.integers(0, 8), st.integers(0, 4))
 # sizes 1 to 10: (0,0) alone is the signature of every one-chain triangle,

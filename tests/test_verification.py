@@ -307,19 +307,68 @@ EDITS = st.lists(st.tuples(st.sampled_from(("key", "k", "mult", "drop", "add")),
                            st.integers(1, 2**64)), max_size=2)
 
 
+def oracle_verdicts(i, n, d_keys, c_keys) -> tuple:
+    """checks_oracle with the one difference allowed: a C key off Pick's
+    parity, which the oracle's floored signature moves onto a neighbouring
+    term, fails both unit sums."""
+    expected = dict(checks_oracle(i, n, d_keys, c_keys))
+    if any((key - gcd(i, n - i)) & 1 for key, _ in c_keys):
+        expected["unit_sum"] = expected["unit_sum_process"] = False
+    return tuple(expected.items())
+
+
 @SETTINGS
 @given(st.sampled_from(sorted(SMALL_D)), EDITS, EDITS, st.booleans(), st.booleans())
 def test_checks_match_the_term_dict_oracle_on_edited_histograms(pair, d_edits, c_edits,
                                                                 d_empty, c_empty):
-    # the one difference allowed: a C key off Pick's parity, which the
-    # oracle's floored signature moves onto a neighbouring term
     i, n = pair
     d_keys = edited(SMALL_D[i, n], d_edits, d_empty)
     c_keys = edited(SMALL_C[i, n - i], c_edits, c_empty)
-    expected = dict(checks_oracle(i, n, d_keys, c_keys))
-    if any((key - gcd(i, n - i)) & 1 for key, _ in c_keys):
-        expected["unit_sum"] = expected["unit_sum_process"] = False
-    assert check_histograms(i, n, d_keys, c_keys).checks == tuple(expected.items())
+    assert check_histograms(i, n, d_keys, c_keys).checks == oracle_verdicts(i, n, d_keys, c_keys)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SMALL_D)), EDITS, st.booleans())
+def test_checks_match_the_term_dict_oracle_on_equally_edited_histograms(pair, edits, empty):
+    # the same edits to both histograms keep them equal, so polygon_form and
+    # unit_sum read d_form's result: on failing input too, as the oracle says
+    i, n = pair
+    d_keys = edited(SMALL_D[i, n], edits, empty)
+    c_keys = edited(SMALL_C[i, n - i], edits, empty)
+    assert d_keys.items() == c_keys.items()
+    assert check_histograms(i, n, d_keys, c_keys).checks == oracle_verdicts(i, n, d_keys, c_keys)
+
+
+def test_a_term_of_multiplicity_0_is_not_read_as_no_term():
+    # Counter's == equates the two histograms, but z's term (9, 0) is a
+    # (q - 1)^-1 that d_form refuses, so polygon_form and unit_sum, on h,
+    # must not read d_form's result
+    h = Counter(region_C(5, 5, 6)[2, 3])
+    z = Counter(h)
+    z[9, 0] = 0
+    assert z == h and z.items() != h.items()
+    assert check_histograms(2, 5, z, h).checks == (
+        ("d_form", False),
+        ("polygon_form", True),
+        ("unit_sum", True),
+        ("unit_sum_process", True),
+        ("form_consistency", True),
+    )
+
+
+def test_a_passing_sweep_packs_two_forms_per_pair(monkeypatch):
+    # d_form, polygon_form and unit_sum are one packed test on equal
+    # histograms, run once; unit_sum_process is the second
+    calls = Counter()
+    real = verification.packed_equals
+
+    def counting(terms, c, t):
+        calls["packed_equals"] += 1
+        return real(terms, c, t)
+
+    monkeypatch.setattr(verification, "packed_equals", counting)
+    assert all(report.all_passed for report in verify_up_to(13))
+    assert calls == {"packed_equals": 2 * 78}
 
 
 def test_a_key_off_picks_parity_fails_every_form_it_is_in():
