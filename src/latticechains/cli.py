@@ -209,7 +209,15 @@ def cmd_simulate(args) -> int:
     return 1
 
 
+# --collapse-sets walks every triangle of the box: at (5,4,8) an 18x18 box,
+# at this sum, takes about a second and 20x20 about three
+COLLAPSE_MAX_LEGS = 36
+
+
 def cmd_explore(args) -> int:
+    if args.collapse_sets and args.max_m + args.max_n > COLLAPSE_MAX_LEGS:
+        return refuse(f"--collapse-sets needs --max-m + --max-n <= {COLLAPSE_MAX_LEGS}, "
+                      f"got {args.max_m + args.max_n}")
     try:
         found = search_unit_multisets(args.max_a, args.max_b, args.max_size,
                                       node_cap=args.node_cap)
@@ -358,7 +366,9 @@ def _explore_arguments(parser) -> None:
                         help="most units of coefficient work, b + 1 per (a, b) pair "
                              "placed or folded; hitting it exits 2 (default %(default)s)")
     parser.add_argument("--collapse-sets", action="store_true",
-                        help="compare signatures with multiplicities dropped")
+                        help="compare signatures with multiplicities dropped; this walks "
+                             f"every triangle of the box, so it needs --max-m + --max-n <= "
+                             f"{COLLAPSE_MAX_LEGS}")
 
 
 def _render_arguments(parser) -> None:

@@ -47,6 +47,13 @@ chain's steps. A step (x, y) from the end point (X, Y) adds X * y - x * Y
 to the cross sum and gcd(x, y) to the gcd sum, so each node costs O(1).
 A targeted walk stays the cheaper route to one end point: the region walk
 for a single pair would visit every chain to every smaller end point too.
+
+region_D covers every 1 <= A < B <= max_b. region_C covers a staircase,
+one cap per column that never increases: column X holds the end points
+1 <= Y <= caps[X - 1]. A sweep to N passes N - X, the end points with
+X + Y <= N; explorer passes the cells whose family can have a size it
+looks for. A step's y range then ends at one list read, and every prefix
+of a chain that ends inside the caps stays inside them.
 """
 
 from __future__ import annotations
@@ -111,17 +118,26 @@ def region_D(max_b: int) -> dict:
     return {(a, b): counts for a, row in rows.items() for b, counts in row.items()}
 
 
-def region_C(max_x: int, max_y: int, max_sum: int) -> dict:
-    """{(X, Y): {(key, k): mult}} for every X <= max_x, Y <= max_y with
-    X + Y <= max_sum, both at least 1: the key histogram of the C family of
-    (X, Y), from one walk over the region."""
-    rows = {x: {y: {} for y in range(1, min(max_y, max_sum - x) + 1)} for x in range(1, max_x + 1)}
+def region_C(caps) -> dict:
+    """{(X, Y): {(key, k): mult}} for every cell 1 <= Y <= caps[X - 1] of
+    the columns X = 1 .. len(caps): the key histogram of the C family of
+    (X, Y), from one walk over the region.
+
+    The caps must never increase. A chain to (X, Y) passes only through
+    points (X', Y') with X' < X and Y' < Y <= caps[X - 1] <= caps[X' - 1],
+    so every cell gets its whole family. Along one step's x the least y
+    only grows and the column's room only shrinks, so the first x whose
+    range is empty ends the loop."""
+    if any(a < b for a, b in zip(caps, caps[1:])):
+        raise ValueError(f"column caps must never increase, got {list(caps)}")
+    top = (0, *caps)  # top[X] caps column X
+    rows = {x: {y: {} for y in range(1, top[x] + 1)} for x in range(1, len(top))}
 
     def walk(X, Y, px, py, key, k):
         k += 1
-        for x in range(1, max_x - X + 1):
+        for x in range(1, len(top) - X):
             low = x * py // px + 1  # the least y with y/x > py/px
-            high = min(max_y - Y, max_sum - X - Y - x)
+            high = top[X + x] - Y
             if low > high:
                 break
             row = rows[X + x]
@@ -129,7 +145,7 @@ def region_C(max_x: int, max_y: int, max_sum: int) -> dict:
                 term = (key + X * y - x * Y + gcd(x, y), k)
                 counts = row[Y + y]
                 counts[term] = counts.get(term, 0) + 1
-                if y // x < high - y:  # necessary for a steeper (1, y') to fit
+                if y // x < high - y:  # necessary for a steeper step to fit below the caps
                     walk(X + x, Y + y, x, y, term[0], k)
 
     walk(0, 0, 1, 0, 0, 0)

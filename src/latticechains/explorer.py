@@ -21,9 +21,14 @@ A signature has one element per chain, N(m, n) in all, so it can equal only
 a multiset of that size: explore builds the signatures of just the
 triangles whose family size is that of some multiset it found. With
 multiplicities dropped (--collapse-sets) sizes shrink, and every triangle's
-signature is built. When every found size is 2 or more, the walk stops at
-legs of twice the largest, past which every family is larger (see
-triangle_signatures).
+signature is built.
+
+Nor does the walk visit a cell that cannot hold a found size. A family holds
+the 2-gon and a 2-step chain through each interior point, so
+N(m, n) >= 1 + I_T(m, n), and I_T never decreases in either leg; the cells
+with 1 + I_T <= s, s the largest size, are a staircase with one cap per
+column, and that is the region walked (triangle_signatures proves both
+facts).
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ def search_unit_multisets(max_a: int, max_b: int, max_size: int,
 def triangle_signatures(max_m: int, max_n: int, sizes=None) -> dict:
     """{(m, n): triangle_signature(m, n)} in row-major (m, n) order for the
     triangles within bounds whose family size is in sizes, or for every one
-    if sizes is None, all read from one walk over the box.
+    if sizes is None, all read from one walk.
 
     The family size N(m, n) is the sum of the C histogram's multiplicities,
     and the signature has exactly N(m, n) elements: u = I_T - (key - g)/2 is
@@ -195,19 +200,35 @@ def triangle_signatures(max_m: int, max_n: int, sizes=None) -> dict:
     in sizes loses no match. Dropping multiplicities (as_set) shrinks a
     multiset and breaks that rule: a caller that collapses passes no sizes.
 
-    When every size is at least 2 the walk stops at legs of 2s, s the
-    largest size: N is 1 on the legs m = 1 and n = 1, and for m >= 2 and
-    n > 2s, N(m, n) >= N(2, n) = 1 + (n - 1)//2 > s, as N is monotone in
-    each leg and symmetric; so no triangle past 2s has a size in sizes."""
+    With sizes, the walk covers only the cells that can hold one of them,
+    by one fact: N(m, n) >= 1 + I_T(m, n). The family holds the 2-gon, and
+    through each interior point P = (x, y) the chain (x, y), (m - x, n - y),
+    convex because P lies strictly below the hypotenuse; equality holds on
+    the leg m = 2, where I_T(2, n) = (n - 1)//2. I_T never decreases in
+    either leg: I_T(m, n + 1) - I_T(m, n) = (m - 1 - gcd(m, n + 1) +
+    gcd(m, n))/2 >= 0, as gcd(m, n + 1) <= m and gcd(m, n) >= 1, and I_T is
+    symmetric. So the cells with 1 + I_T <= s, s the largest size, are a
+    staircase: column m up to a cap that never increases in m, the region
+    region_C walks. A leg of 1 has no interior point, so N = 1 there. When
+    1 is not in sizes, every wanted cell has both legs at least 2, so
+    I_T(m, n) >= I_T(2, n) = (n - 1)//2 and its mirror in m put it within
+    legs of 2s: the box stops there, and a huge box walks no long leg of 1."""
     if max_m < 1 or max_n < 1:
         raise ValueError("triangle bounds must be >= 1")
-    if sizes and min(sizes) >= 2:
-        reach = 2 * max(sizes)
-        max_m, max_n = min(max_m, reach), min(max_n, reach)
-    hists = region_C(max_m, max_n, max_m + max_n)
-    return {(m, n): Signature(tuple(key_signature(hists[m, n], TriangleSpec(m, n)).elements()))
-            for m in range(1, max_m + 1) for n in range(1, max_n + 1)
-            if sizes is None or sum(hists[m, n].values()) in sizes}
+    if sizes is None:
+        caps = [max_n] * max_m
+    else:
+        s = max(sizes, default=0)
+        if 1 not in sizes:
+            max_m, max_n = min(max_m, 2 * s), min(max_n, 2 * s)
+        caps, n = [], max_n
+        for m in range(1, max_m + 1):
+            while 1 + TriangleSpec(m, n).interior_count > s:  # stops by n = 1: I_T(m, 1) = 0
+                n -= 1
+            caps.append(n)
+    return {(m, n): Signature(tuple(key_signature(counts, TriangleSpec(m, n)).elements()))
+            for (m, n), counts in region_C(caps).items()
+            if sizes is None or sum(counts.values()) in sizes}
 
 
 def match_signature(sig: Signature, signatures: dict) -> list:

@@ -205,6 +205,6 @@ def verify_up_to(max_n: int):
     Each family is counted by one region walk over the whole sweep, and both
     walks finish, holding every pair's histograms, before the first check."""
     d_hists = region_D(max_n)
-    c_hists = region_C(max_n - 1, max_n - 1, max_n)
+    c_hists = region_C([max_n - x for x in range(1, max_n)])
     return (check_histograms(i, n, d_hists[i, n], c_hists[i, n - i])
             for n in range(2, max_n + 1) for i in range(1, n))

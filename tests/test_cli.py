@@ -780,6 +780,18 @@ def test_explore_builds_the_signatures_of_found_sizes_only(capsys, monkeypatch, 
     assert len(calls) == built
 
 
+def test_explore_collapse_sets_refuses_a_box_past_its_limit(capsys):
+    # collapsing walks every triangle of the box, so the legs' sum is capped
+    # before the search starts; a long thin box at the cap still runs
+    argv = ["explore", "--max-a", "5", "--max-b", "4", "--max-size", "8", "--collapse-sets"]
+    assert run(capsys, *argv, "--max-m", "30", "--max-n", "7") == (
+        2, "", "--collapse-sets needs --max-m + --max-n <= 36, got 37\n")
+    assert run(capsys, *argv, "--max-m", "1", "--max-n", str(10**9))[0] == 2
+    code, out, _ = run(capsys, *argv, "--max-m", "30", "--max-n", "6")
+    assert code == 0
+    assert "  triangles up to (30,6): (2,3), (2,4), (3,2), (3,3), (4,2)\n" in out
+
+
 def test_explore_collapse_sets_flag(capsys):
     code, out, _ = run(capsys, "explore", "--max-a", "3", "--max-b", "1",
                        "--max-size", "4", "--max-m", "4", "--max-n", "4",

@@ -231,7 +231,7 @@ def test_enumerate_polygons_counts():
 
 def test_family_sizes_are_symmetric_monotone_and_closed_form_for_short_legs():
     # N(m, n), the C family size of (m, n), from one walk over the 14 x 14 box
-    hists = region_C(14, 14, 28)
+    hists = region_C([14] * 14)
     size = {mn: sum(counts.values()) for mn, counts in hists.items()}
     assert size[8, 9] == 149 and size[14, 14] == 5_989
     for m in range(1, 15):
@@ -241,6 +241,30 @@ def test_family_sizes_are_symmetric_monotone_and_closed_form_for_short_legs():
                 assert size[m, n] <= size[m, n + 1]  # add 1 to the last step's y
         assert size[1, m] == 1
         assert size[2, m] == 1 + (m - 1) // 2
+
+
+def test_a_family_holds_the_2_gon_and_a_chain_through_each_interior_point():
+    # N(m, n) >= 1 + I_T(m, n), the bound explore's walk rests on, with
+    # equality on the leg m = 2
+    for (m, n), counts in region_C([14] * 14).items():
+        assert sum(counts.values()) >= 1 + TriangleSpec(m, n).interior_count, (m, n)
+    for (m, n), counts in region_C([40, 40]).items():
+        if m == 2:
+            assert sum(counts.values()) == 1 + TriangleSpec(m, n).interior_count, n
+
+
+def test_the_interior_count_never_decreases_in_either_leg():
+    # what makes the cells with 1 + I_T <= s a staircase of caps
+    count = {(m, n): TriangleSpec(m, n).interior_count for m in range(1, 41) for n in range(1, 41)}
+    for (m, n), c in count.items():
+        assert c == count[n, m]
+        if n < 40:
+            assert c <= count[m, n + 1]
+
+
+def test_region_C_refuses_caps_that_increase():
+    with pytest.raises(ValueError, match="never increase"):
+        region_C([3, 2, 3])
 
 
 @pytest.mark.parametrize("i,j", [(2, 2), (3, 4), (4, 3), (5, 5), (4, 6), (6, 6)])

@@ -197,15 +197,17 @@ FOUND_SIZES = sorted({frozenset(len(sig) for sig in search_unit_multisets(a, b, 
 
 
 def test_the_walk_bounded_by_the_sizes_keeps_every_triangle_of_those_sizes(monkeypatch):
-    # sizes s >= 2 stop the walk at legs of 2 * max(s); every box up to
-    # 12x12 must still give the whole box's map, in the same order
+    # sizes cap each column at the last n with 1 + I_T(m, n) <= max(sizes),
+    # and without size 1 stop at legs of 2 * max(sizes), as legs of 1 hold
+    # only N = 1; every box up to 12x12 must still give the whole box's map,
+    # in the same order, and a 1000x1000 box that of the 16x16 one
     import latticechains.explorer as explorer
 
     whole = triangle_signatures(12, 12)
     walks = []
     real = explorer.region_C
-    monkeypatch.setattr(explorer, "region_C", lambda *bounds: walks.append(bounds) or real(*bounds))
-    for sizes in FOUND_SIZES:
+    monkeypatch.setattr(explorer, "region_C", lambda caps: walks.append(list(caps)) or real(caps))
+    for sizes in [*FOUND_SIZES, {1}, {1, 5}]:
         for max_m in range(1, 13):
             for max_n in range(1, 13):
                 assert list(triangle_signatures(max_m, max_n, sizes).items()) == [
@@ -214,9 +216,21 @@ def test_the_walk_bounded_by_the_sizes_keeps_every_triangle_of_those_sizes(monke
     assert len(FOUND_SIZES) == 8
     walks.clear()
     triangle_signatures(12, 12, {2, 3, 4})
-    triangle_signatures(7, 7, {2, 3, 4})  # the benchmark's box walks as before
+    triangle_signatures(7, 7, {2, 3, 4})  # the benchmark's box
     triangle_signatures(12, 12, {1, 2})
-    assert walks == [(8, 8, 16), (7, 7, 14), (12, 12, 24)]
+    triangle_signatures(12, 12)
+    assert triangle_signatures(1000, 1000, set(range(2, 9))) == triangle_signatures(
+        16, 16, set(range(2, 9)))
+    assert triangle_signatures(1000, 1000, set()) == {}
+    assert walks == [
+        [8, 8, 4, 4, 2, 2, 2, 2],
+        [7, 7, 4, 4, 2, 2, 2],
+        [12, 4, 3, 2] + [1] * 8,
+        [12] * 12,
+        [16, 16, 9, 6, 5, 4, 3, 3, 3] + [2] * 7,
+        [16, 16, 9, 6, 5, 4, 3, 3, 3] + [2] * 7,
+        [],
+    ]
 
 
 FOUND_5_4_8 = search_unit_multisets(5, 4, 8)

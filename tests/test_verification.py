@@ -43,6 +43,11 @@ from test_geometry import oracle_boundary_scan, oracle_interior_scan
 from test_polyalgebra import Q_MINUS_ONE, SETTINGS, evaluate, power
 
 
+def sweep_C(max_n):
+    """The C histograms of every pair 1 <= i < n <= max_n, as verify_up_to walks them."""
+    return region_C([max_n - x for x in range(1, max_n)])
+
+
 def oracle_lhs_coeffs(i, n):
     coeffs = {}
     for steps in oracle_D(i, n):
@@ -170,17 +175,18 @@ def test_region_walks_equal_the_targeted_walks():
     # every end point of each region, and no other, holds the key histogram
     # of its own family
     d_hists = region_D(16)
-    c_hists = region_C(15, 15, 16)
+    c_hists = sweep_C(16)
     pairs = [(i, n) for n in range(2, 17) for i in range(1, n)]
     assert sorted(d_hists) == sorted(pairs)
     assert sorted(c_hists) == sorted((i, n - i) for i, n in pairs)
     for i, n in pairs:
         assert d_hists[i, n] == _term_keys(chains_D(i, n)), (i, n)
         assert c_hists[i, n - i] == _term_keys(chains_C(i, n - i)), (i, n)
-    box = region_C(9, 9, 18)
-    assert sorted(box) == [(m, n) for m in range(1, 10) for n in range(1, 10)]
-    for (m, n), keys in box.items():
-        assert keys == _term_keys(chains_C(m, n)), (m, n)
+    for caps in ([9] * 9, [9, 7, 7, 3, 3, 1], []):
+        region = region_C(caps)
+        assert list(region) == [(m, n) for m, cap in enumerate(caps, 1) for n in range(1, cap + 1)]
+        for (m, n), keys in region.items():
+            assert keys == _term_keys(chains_C(m, n)), (m, n)
 
 
 def test_the_sweep_reports_what_verify_all_reports():
@@ -292,7 +298,7 @@ def test_a_passing_sweep_builds_no_term_dict(monkeypatch):
 
 
 def test_checks_match_the_term_dict_oracle_on_every_pair():
-    d_hists, c_hists = region_D(16), region_C(15, 15, 16)
+    d_hists, c_hists = region_D(16), sweep_C(16)
     for n in range(2, 17):
         for i in range(1, n):
             d_keys, c_keys = d_hists[i, n], c_hists[i, n - i]
@@ -300,7 +306,7 @@ def test_checks_match_the_term_dict_oracle_on_every_pair():
             assert check_histograms(i, n, d_keys, c_keys).checks == expected, (i, n)
 
 
-SMALL_D, SMALL_C = region_D(9), region_C(8, 8, 9)
+SMALL_D, SMALL_C = region_D(9), sweep_C(9)
 # (kind, pick, delta, mult): one edit of one term, or one term added
 EDITS = st.lists(st.tuples(st.sampled_from(("key", "k", "mult", "drop", "add")),
                            st.integers(0, 99), st.sampled_from((-2, -1, 1, 2)),
@@ -343,7 +349,7 @@ def test_a_term_of_multiplicity_0_is_not_read_as_no_term():
     # Counter's == equates the two histograms, but z's term (9, 0) is a
     # (q - 1)^-1 that d_form refuses, so polygon_form and unit_sum, on h,
     # must not read d_form's result
-    h = Counter(region_C(5, 5, 6)[2, 3])
+    h = Counter(sweep_C(6)[2, 3])
     z = Counter(h)
     z[9, 0] = 0
     assert z == h and z.items() != h.items()
@@ -375,7 +381,7 @@ def test_a_key_off_picks_parity_fails_every_form_it_is_in():
     # every key moved by +-1, at every pair with n <= 12, in both histograms:
     # unit sums that floor (key - g) // 2 pass 333 of these 666 moves
     moves = 0
-    for (i, j), keys in region_C(11, 11, 12).items():
+    for (i, j), keys in sweep_C(12).items():
         for (key, k), mult in keys.items():
             for delta in (-1, 1):
                 moved = Counter(keys)
