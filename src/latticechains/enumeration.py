@@ -1,18 +1,22 @@
 """Slope-constrained compositions and the convex chains they index.
 
-Two index families are enumerated independently (so the bijection between
-them is a checkable fact, not a construction):
+Two index families are enumerated, neither built from the other (so the
+bijection between them is a checkable fact, not a construction):
 
 * family D: steps (a_l, b_l) with sum(a) = i, sum(b) = n and
   1 > a_1/b_1 > ... > a_k/b_k > 0;
 * family C: steps (x_l, y_l) with sum(x) = i, sum(y) = j and
   y_1/x_1 < ... < y_k/x_k, the steps of the triangle's chain polygons.
 
-The shear (a, b) -> (a, b - a) maps D onto C; the tests state it.
+The shear (a, b) -> (a, b - a) maps D onto C; the tests state it. Both
+follow one rule: the steps' slopes, second coordinate over first, strictly
+increase from a seed slope, 1 for D (so a < b) and 0 for C (so y >= 1).
+So each walk below serves both, started from the seed step (1, 1) for D
+and (1, 0) for C.
 
-Each family has one targeted depth-first walk, chains_D or chains_C, which
-yields bare step tuples, unvalidated, in lexicographic order. The walk
-visits every chain prefix once and closes it with the remainder as its last
+The targeted depth-first walk, _walk, read by chains_D and chains_C,
+yields bare step tuples, unvalidated, in lexicographic order. It visits
+every chain prefix once and closes it with the remainder as its last
 step; the remainder's first coordinate exceeds that of any step that could
 extend the prefix, so the closed chain comes after every extension. The
 proof of one pair in verification reads these walks directly. enumerate_D
@@ -27,33 +31,34 @@ Slopes are compared by integer cross products throughout. With a step's
 first coordinate fixed, its second runs over a range whose two bounds are
 the whole rule, so the walk tests nothing inside it:
 
-* from below, the slope order after the previous step (pa, pb) or
-  (px, py): b >= a * pb // pa + 1 for D and y >= x * py // px + 1 for C,
-  seeded with (1, 1) for D (so a < b) and (1, 0) for C (so y >= 1);
-* from above, the rest stays strictly flatter (D) or steeper (C) than this
-  step, b * rem_a < a * rem_b or y * rem_x < x * rem_y: the later steps sum
-  to the remainder, and a sum of vectors whose slopes all lie strictly on
-  one side of a slope lies on that side too.
+* from below, the slope order after the previous step (px, py), the
+  seed step before the first: y >= x * py // px + 1;
+* from above, the remainder stays strictly steeper than this step,
+  y * rem_x < x * rem_y: the later steps sum to the remainder, and a sum
+  of vectors whose slopes all lie strictly on one side of a slope lies on
+  that side too.
 
 The upper bound is also the slope order of the closing step, so every
 prefix the walk visits closes into one chain and no branch yields nothing.
 
-A sweep reads each family from one region walk, region_D or region_C,
-instead of one targeted walk per end point. It starts every chain at the
-origin and extends it only by a strictly flatter (D) or strictly steeper
-(C) step, so every node is a whole chain to its own end point, and it
+A sweep reads each family from one region walk, _region by way of
+region_D or region_C, instead of one targeted walk per end point. It
+starts every chain at the origin and extends it only by a strictly
+steeper step, so every node is a whole chain to its own end point, and it
 counts {(key, k): mult} per end point, key = cross + gcdsum over the
 chain's steps. A step (x, y) from the end point (X, Y) adds X * y - x * Y
 to the cross sum and gcd(x, y) to the gcd sum, so each node costs O(1).
 A targeted walk stays the cheaper route to one end point: the region walk
 for a single pair would visit every chain to every smaller end point too.
 
-region_D covers every 1 <= A < B <= max_b. region_C covers a staircase,
-one cap per column that never increases: column X holds the end points
-1 <= Y <= caps[X - 1]. A sweep to N passes N - X, the end points with
-X + Y <= N; explorer passes the cells whose family can have a size it
-looks for. A step's y range then ends at one list read, and every prefix
-of a chain that ends inside the caps stays inside them.
+A region is a staircase, one cap per column that never increases: column
+X holds the end points above the seed slope, X * sy // sx + 1 <= Y <=
+caps[X - 1]. region_D passes max_b - 1 columns capped at max_b, which is
+every 1 <= A < B <= max_b. region_C passes its caps with the seed 0, so
+column X holds 1 <= Y <= caps[X - 1]: a sweep to N passes N - X, the end
+points with X + Y <= N; explorer passes the cells whose family can have a
+size it looks for. A step's y range then ends at one list read, and every
+prefix of a chain that ends inside the caps stays inside them.
 """
 
 from __future__ import annotations
@@ -69,14 +74,7 @@ def chains_D(i: int, n: int) -> Iterator[Steps]:
     once, in lexicographic order and unvalidated."""
     if i < 1 or n <= i:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    return _walk_d((), 1, 1, i, n)
-
-
-def _walk_d(prefix, pa, pb, rem_a, rem_b):
-    for a in range(1, rem_a):
-        for b in range(a * pb // pa + 1, (a * rem_b - 1) // rem_a + 1):
-            yield from _walk_d((*prefix, (a, b)), a, b, rem_a - a, rem_b - b)
-    yield (*prefix, (rem_a, rem_b))
+    return _walk((), 1, 1, i, n)
 
 
 def chains_C(i: int, j: int) -> Iterator[Steps]:
@@ -84,44 +82,33 @@ def chains_C(i: int, j: int) -> Iterator[Steps]:
     once, in lexicographic order and unvalidated."""
     if i < 1 or j < 1:
         raise ValueError(f"need i, j >= 1, got i={i}, j={j}")
-    return _walk_c((), 1, 0, i, j)
+    return _walk((), 1, 0, i, j)
 
 
-def _walk_c(prefix, px, py, rem_x, rem_y):
+def _walk(prefix, px, py, rem_x, rem_y):
     for x in range(1, rem_x):
         for y in range(x * py // px + 1, (x * rem_y - 1) // rem_x + 1):
-            yield from _walk_c((*prefix, (x, y)), x, y, rem_x - x, rem_y - y)
+            yield from _walk((*prefix, (x, y)), x, y, rem_x - x, rem_y - y)
     yield (*prefix, (rem_x, rem_y))
 
 
 def region_D(max_b: int) -> dict:
     """{(A, B): {(key, k): mult}} for every 1 <= A < B <= max_b: the key
     histogram of the D family of (A, B), from one walk over the region."""
-    rows = {a: {b: {} for b in range(a + 1, max_b + 1)} for a in range(1, max_b)}
-
-    def walk(A, B, pa, pb, key, k):
-        k += 1
-        room = max_b - B
-        for a in range(1, room):
-            low = a * pb // pa + 1  # the least b with a/b < pa/pb
-            if low > room:
-                break
-            row = rows[A + a]
-            for b in range(low, room + 1):
-                term = (key + A * b - a * B + gcd(a, b), k)
-                counts = row[B + b]
-                counts[term] = counts.get(term, 0) + 1
-                if b // a < room - b:  # some (1, b') is flatter and fits
-                    walk(A + a, B + b, a, b, term[0], k)
-
-    walk(0, 0, 1, 1, 0, 0)
-    return {(a, b): counts for a, row in rows.items() for b, counts in row.items()}
+    return _region([max_b] * (max_b - 1), 1, 1)
 
 
 def region_C(caps) -> dict:
     """{(X, Y): {(key, k): mult}} for every cell 1 <= Y <= caps[X - 1] of
     the columns X = 1 .. len(caps): the key histogram of the C family of
-    (X, Y), from one walk over the region.
+    (X, Y), from one walk over the region. The caps must never increase."""
+    return _region(caps, 1, 0)
+
+
+def _region(caps, sx, sy) -> dict:
+    """{(X, Y): {(key, k): mult}} for every cell X * sy // sx < Y <= caps[X - 1]
+    of the columns X = 1 .. len(caps): the key histogram of the chains to
+    (X, Y) whose slopes strictly increase from the seed slope sy/sx.
 
     The caps must never increase. A chain to (X, Y) passes only through
     points (X', Y') with X' < X and Y' < Y <= caps[X - 1] <= caps[X' - 1],
@@ -131,7 +118,7 @@ def region_C(caps) -> dict:
     if any(a < b for a, b in zip(caps, caps[1:])):
         raise ValueError(f"column caps must never increase, got {list(caps)}")
     top = (0, *caps)  # top[X] caps column X
-    rows = {x: {y: {} for y in range(1, top[x] + 1)} for x in range(1, len(top))}
+    rows = {x: {y: {} for y in range(x * sy // sx + 1, top[x] + 1)} for x in range(1, len(top))}
 
     def walk(X, Y, px, py, key, k):
         k += 1
@@ -148,7 +135,7 @@ def region_C(caps) -> dict:
                 if y // x < high - y:  # necessary for a steeper step to fit below the caps
                     walk(X + x, Y + y, x, y, term[0], k)
 
-    walk(0, 0, 1, 0, 0, 0)
+    walk(0, 0, sx, sy, 0, 0)
     return {(x, y): counts for x, row in rows.items() for y, counts in row.items()}
 
 

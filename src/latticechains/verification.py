@@ -48,12 +48,17 @@ term is v^key * (1 - v^-2)^(k-1). By Pick, 2(i(P) + b(P)) = key + g + 2
 shifted by g + 2. The unit sums fold the signature, u(P) = I_T - (key - g)/2
 (I_T the triangle's interior count) and v(P) - 2 = k - 1; every form, and
 key_signature, refuses a key off Pick's parity, key - g odd. polygon_form
-and unit_sum test one identity; form_consistency ties the C family to the
-separately enumerated D family: the shear keeps each chain's (key, k), so
-the key histograms must be equal. That states the bijection itself; equal
-folds would not, as the fold has a kernel, v^s(1-v^-2)^p =
-v^s(1-v^-2)^(p+1) + v^(s-2)(1-v^-2)^p. No chain polygon is built and
-check_steps runs on no chain: the walks' step conditions are the chain rule.
+and unit_sum test one identity; form_consistency ties together two walks
+of one code: D's, from the seed slope 1 to (i, n) or over B <= N, and C's,
+from the seed slope 0 to (i, j) or over X + Y <= N. Neither family is built
+from the other, and the shear keeps each chain's (key, k), so the key
+histograms must be equal. That states the bijection itself; equal folds
+would not, as the fold has a kernel, v^s(1-v^-2)^p =
+v^s(1-v^-2)^(p+1) + v^(s-2)(1-v^-2)^p. A fault in the shared walk that
+moves both families alike can leave them equal; that is d_form's and
+polygon_form's to catch, as their targets are closed forms. No chain
+polygon is built and check_steps runs on no chain: the walks' step
+conditions are the chain rule.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from latticechains.enumeration import (
     enumerate_D,
     enumerate_polygons,
     region_C,
+    region_D,
 )
 from latticechains.geometry import (
     TriangleSpec,
@@ -241,6 +242,13 @@ def test_family_sizes_are_symmetric_monotone_and_closed_form_for_short_legs():
                 assert size[m, n] <= size[m, n + 1]  # add 1 to the last step's y
         assert size[1, m] == 1
         assert size[2, m] == 1 + (m - 1) // 2
+    # the walks never use the reflection, yet whole histograms keep it: the
+    # reflected, reversed chain has the same area, gcds and step count
+    for (m, n), counts in hists.items():
+        assert counts == hists[n, m], (m, n)
+    d_hists = region_D(18)
+    for (i, n), counts in d_hists.items():
+        assert counts == d_hists[n - i, n], (i, n)
 
 
 def test_a_family_holds_the_2_gon_and_a_chain_through_each_interior_point():
