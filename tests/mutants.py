@@ -37,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 WALK_TESTS = ("tests/test_enumeration.py", "tests/test_verification.py")
 ENUMERATION = "latticechains/enumeration.py"
+MONTECARLO = "latticechains/montecarlo.py"
+MONTECARLO_TESTS = ("tests/test_montecarlo.py",)
 
 
 class Mutant(NamedTuple):
@@ -80,6 +82,15 @@ MUTANTS = (
     Mutant("region-x-range-minus-1", ENUMERATION,
            "for x in range(1, len(top) - X):", "for x in range(1, len(top) - X - 1):",
            WALK_TESTS),
+    # the coin loop: stream 2's coin rule, in a table and with none, and the
+    # last chunk's place in the mask
+    Mutant("coin-table-less-equal", MONTECARLO,
+           "(d < num) << digit", "(d <= num) << digit", MONTECARLO_TESTS),
+    Mutant("coin-no-table-less-equal", MONTECARLO,
+           "self.bit if digit < self.num", "self.bit if digit <= self.num", MONTECARLO_TESTS),
+    Mutant("decoder-last-chunk-shift", MONTECARLO,
+           "fragments(last, npoints - last)", "fragments(last + 1, npoints - last)",
+           MONTECARLO_TESTS),
 )
 
 # runs in the child: refuse to test anything but the mutated copy

@@ -874,6 +874,44 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_leaves_out_openssl_where_the_builtin_hash_imports():
+    # simulate's coins hash with CPython's built-in SHA-256 where the build has
+    # it; hashlib would load OpenSSL (_hashlib) into every command's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import latticechains.cli\n"
+         "openssl = '_hashlib' in set(sys.modules) - before\n"
+         "builtin = False\n"
+         "for name in ('_sha2', '_sha256'):\n"
+         "    try:\n"
+         "        __import__(name)\n"
+         "        builtin = True\n"
+         "    except ImportError:\n"
+         "        pass\n"
+         "print(builtin, openssl)"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout in ("True False\n", "False True\n", "False False\n")
+
+
+def test_simulate_without_the_builtin_hash_prints_the_same_bytes():
+    # an interpreter built without _sha2 or _sha256 falls back to hashlib
+    argv, digest = PINNED_STDOUT["simulate-5-7"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+         "import hashlib\n"
+         "from latticechains import cli, montecarlo\n"
+         "assert montecarlo.sha256 is hashlib.sha256\n"
+         "sys.exit(cli.main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, env=cli_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
     # start-up is most of a short command, and these two cost it about 17 ms;
     # only what the import adds counts, so a site hook that preloads one passes

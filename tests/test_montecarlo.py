@@ -355,8 +355,25 @@ def reference_masks(seed, stop, num, den, npoints, sha=hashlib.sha256, start=0):
     return dict(tallies)
 
 
+def digit_mask(r, num, den, npoints):
+    """The mask of r read digit by digit, least significant first."""
+    return sum(1 << p for p in range(npoints) if r // den ** p % den < num)
+
+
+@pytest.mark.parametrize("length", [0, 24, 55, 56, 63, 64, 65, 200])
+def test_sha256_is_hashlibs(length):
+    # across SHA-256's padding edges: one block, the length field spilling
+    # into a second, and several blocks
+    message = bytes(range(251)) * 2
+    assert montecarlo.sha256(message[:length]).digest() == \
+        hashlib.sha256(message[:length]).digest()
+
+
 @pytest.mark.parametrize("num,den,npoints", [
     (1, 2, 3), (1, 3, 4), (2, 3, 4), (2, 5, 3),
+    (1, 3, 0), (37, 100, 0),  # no points: every mask is empty
+    (1, 2, 12), (2, 5, 5),  # one chunk, exactly full: 2**12 = 4096, 5**5 = 3125
+    (1, 2, 13),  # a full chunk plus one digit
     (2, 5, 6),  # two table chunks: 5**5 <= TABLE_SIZE < 5**6
     (2, 3, 9),  # two table chunks of 7 and 2 digits
     (37, 100, 2),  # 100**2 > TABLE_SIZE: one digit per chunk, no table
@@ -365,13 +382,27 @@ def test_decoder_is_exact_over_every_residue(num, den, npoints):
     masks = mask_decoder(num, den, npoints)(list(range(den ** npoints)))
     # each residue decodes digit by digit, whatever the table width
     for r, mask in enumerate(masks):
-        assert mask == sum(1 << p for p in range(npoints) if r // den ** p % den < num)
+        assert mask == digit_mask(r, num, den, npoints)
     # so each mask S comes from num^|S| (den-num)^(n-|S|) residues
     expected = {}
     for mask in range(1 << npoints):
         chosen = bin(mask).count("1")
         expected[mask] = num ** chosen * (den - num) ** (npoints - chosen)
     assert Counter(masks) == expected
+
+
+@pytest.mark.parametrize("num,den,npoints", [
+    (1, 3, 20),  # three table chunks of 7, 7 and 6 digits
+    (1, 2, 30),  # three table chunks of 12, 12 and 6 digits
+    (37, 100, 4),  # four coins, no table
+])
+def test_decoder_is_exact_on_sampled_residues(num, den, npoints):
+    # den**npoints is too many residues to list: sample them, with both ends
+    modulus = den ** npoints
+    rng = random.Random(f"decoder {num}/{den} {npoints}")
+    residues = [0, modulus - 1, *(rng.randrange(modulus) for _ in range(2000))]
+    assert mask_decoder(num, den, npoints)(residues) == \
+        [digit_mask(r, num, den, npoints) for r in residues]
 
 
 @pytest.mark.parametrize("seed,trials,num,den,npoints", [
