@@ -5,7 +5,7 @@ triangle, takes the convex chain hull of the chosen points, and tallies
 the resulting polygon. The law of the hull is
     prob(P) = (1-x)^u(P) * x^(v(P)-2)
 and the empirical table is compared row by row against those exact
-rationals via binomial z-scores.
+rationals via binomial z-scores: a row with |z| > Z_THRESHOLD is flagged.
 
 Randomness contract (stream 2): with x = num/den and n interior points,
 let M = den^n. Trial t under seed s reads nblocks = ceil((bits(M) + 64) /
@@ -104,6 +104,8 @@ def exact_prob(s: PolygonStats, x) -> Fraction:
 
 
 STREAM = 2  # version of the randomness contract above, printed with the results
+
+Z_THRESHOLD = 4.0  # compare flags a row whose |z| exceeds this
 
 # Coins are decoded a chunk of digits at a time through a table of at most
 # this many entries; the stream itself does not depend on the chunk width.
@@ -273,7 +275,6 @@ class ComparisonRow(NamedTuple):
 class ComparisonReport(NamedTuple):
     rows: tuple
     exact_total: Fraction
-    z_threshold: float
 
     @property
     def flagged_rows(self) -> tuple:
@@ -284,8 +285,7 @@ class ComparisonReport(NamedTuple):
         return self.exact_total == 1 and not self.flagged_rows
 
 
-def compare(table: FrequencyTable, config: SimulationConfig,
-            z_threshold: float = 4.0) -> ComparisonReport:
+def compare(table: FrequencyTable, config: SimulationConfig) -> ComparisonReport:
     """One row per family member (zero counts included), enumeration order."""
     family = list(enumerate_polygons(config.spec))
     known = {vertices for vertices, _ in family}
@@ -307,5 +307,5 @@ def compare(table: FrequencyTable, config: SimulationConfig,
             z = 0.0 if emp == float(p) else inf
         else:
             z = (emp - float(p)) / sigma
-        rows.append(ComparisonRow(vertices, count, emp, p, z, abs(z) > z_threshold))
-    return ComparisonReport(tuple(rows), exact_total, z_threshold)
+        rows.append(ComparisonRow(vertices, count, emp, p, z, abs(z) > Z_THRESHOLD))
+    return ComparisonReport(tuple(rows), exact_total)

@@ -39,6 +39,9 @@ WALK_TESTS = ("tests/test_enumeration.py", "tests/test_verification.py")
 ENUMERATION = "latticechains/enumeration.py"
 MONTECARLO = "latticechains/montecarlo.py"
 MONTECARLO_TESTS = ("tests/test_montecarlo.py",)
+POLYALGEBRA = "latticechains/polyalgebra.py"
+VERIFICATION = "latticechains/verification.py"
+PACKED_TESTS = ("tests/test_verification.py", "tests/test_polyalgebra.py")
 
 
 class Mutant(NamedTuple):
@@ -91,6 +94,28 @@ MUTANTS = (
     Mutant("decoder-last-chunk-shift", MONTECARLO,
            "fragments(last, npoints - last)", "fragments(last + 1, npoints - last)",
            MONTECARLO_TESTS),
+    Mutant("hull-no-column-minima", MONTECARLO,
+           "key = mask & ~((mask | tops) - starts)", "key = mask", MONTECARLO_TESTS),
+    # the verdict's threshold: only a real |z| between 4 and 4.5 sees it
+    Mutant("verdict-threshold-plus-half", MONTECARLO,
+           "abs(z) > Z_THRESHOLD", "abs(z) > Z_THRESHOLD + 0.5", ("tests/test_cli.py",)),
+    # the packed checks: their refusals, the Laurent shift, a unit sum's
+    # exponent and the rule that lets one verdict reuse another
+    Mutant("packs-to-parity", VERIFICATION,
+           "if (top - key) & 1:", "if False:", PACKED_TESTS),
+    Mutant("key-signature-parity", VERIFICATION,
+           "if odd:", "if False:", ("tests/test_verification.py", "tests/test_explorer.py")),
+    Mutant("packed-negative-power", POLYALGEBRA,
+           "elif b < 0:", "elif False:", PACKED_TESTS),
+    Mutant("packed-laurent-shift", POLYALGEBRA,
+           "if a < low:", "if False:", PACKED_TESTS),
+    Mutant("fold-negative-power", POLYALGEBRA,
+           "if power < 0:", "if False:", PACKED_TESTS),
+    Mutant("unit-sum-k", VERIFICATION,
+           "(h, k - 1, mult)", "(h, k, mult)", PACKED_TESTS),
+    Mutant("same-keys-counter-equality", VERIFICATION,
+           "same_keys = d_keys.items() == c_keys.items()", "same_keys = d_keys == c_keys",
+           PACKED_TESTS),
 )
 
 # runs in the child: refuse to test anything but the mutated copy

@@ -182,7 +182,7 @@ def test_criterion_7_monte_carlo_cross_check():
     ]
     for spec, x, seed in runs:
         config = SimulationConfig(spec, x, 10 ** 6, seed)
-        result = compare(simulate(config), config, z_threshold=4.0)
+        result = compare(simulate(config), config)
         if result.exact_total != 1:
             failures.append((spec, "normalization"))
         for row in result.rows:

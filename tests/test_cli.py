@@ -13,7 +13,7 @@ import pytest
 
 import latticechains
 import latticechains.cli as cli
-from latticechains import geometry
+from latticechains import geometry, montecarlo
 from latticechains.cli import (
     CSV_COLUMNS,
     FIELDS,
@@ -358,6 +358,12 @@ def test_a_leftover_argument_gets_the_full_parsers_usage_error(capsys):
         2, "",
         "usage: latticechains [-h] {verify,enumerate,simulate,explore,render} ...\n"
         "latticechains: error: unrecognized arguments: --bogus\n")
+    # the verdict's threshold is a constant, not an option
+    assert run(capsys, "simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10",
+               "--z-threshold", "4") == (
+        2, "",
+        "usage: latticechains [-h] {verify,enumerate,simulate,explore,render} ...\n"
+        "latticechains: error: unrecognized arguments: --z-threshold 4\n")
 
 
 # argvs for the one-command parser and the full one: help, usage errors,
@@ -378,6 +384,7 @@ PARSE_MATRIX = [
     ["simulate", "--help"], ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10"],
     ["simulate", "--i", "2", "--j", "3", "--x", "3/2", "--trials", "10"],
     ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10", "--z", "nan"],
+    ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10", "--z-threshold", "4"],
     ["simulate", "--i", "2", "--j", "3", "--x", "1/2", "--trials", "10", "--seed", "-1"],
     ["simulate", "--i", "2", "--j", "3", "--x", "1/2"],
     ["explore", "--help"], ["explore", "--max-a", "1", "--max-b", "1", "--max-size", "2"],
@@ -630,22 +637,33 @@ def test_simulate_rejects_bad_fractions(capsys):
                "--trials", "10")[0] == 2
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "1e400"])
-def test_simulate_rejects_bad_z_threshold(capsys, threshold):
-    code, _, err = run(capsys, "simulate", "--i", "2", "--j", "3", "--x", "1/2",
-                       "--trials", "10", f"--z-threshold={threshold}")
-    assert code == 2
-    assert "threshold" in err
-
-
 def test_simulate_z_violation_exits_one(capsys):
-    # 101 trials over 2 polygons cannot both sit exactly on 1/2
-    code, out, _ = run(
-        capsys, "simulate", "--i", "2", "--j", "3", "--x", "1/2",
-        "--trials", "101", "--seed", "7", "--z-threshold", "0.000001",
-    )
+    # a correct sampler past the uncorrected |z| > 4 rule (ROADMAP item 3):
+    # 482 hits where 585.3 are expected
+    code, out, _ = run(capsys, "simulate", "--i", "5", "--j", "7", "--x", "1/3",
+                       "--trials", "20000", "--seed", "7502")
     assert code == 1
-    assert "beyond |z|" in out
+    flagged = [line for line in out.splitlines() if line.endswith("<-- |z| above threshold")]
+    assert flagged == ["(0,0)-(2,1)-(5,7)                          482   0.024100    64/2187"
+                       "   -4.333  <-- |z| above threshold"]
+    assert out.endswith("exact probabilities sum to 1: yes\n1 polygon(s) beyond |z| = 4.0\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "adb6371688dfddf04fb3a0b99e8fe43c4c9b040f5fca2efcf21f79659aa809fd"
+
+
+def test_simulate_names_a_wrong_exact_total_as_the_failure(capsys, monkeypatch):
+    # the one polygon of (1,1) has probability 1; halved, the sum is off and
+    # its z of +3.162 is flagged by nothing
+    exact_prob = montecarlo.exact_prob
+    monkeypatch.setattr(montecarlo, "exact_prob", lambda s, x: exact_prob(s, x) / 2)
+    assert run(capsys, "simulate", "--i", "1", "--j", "1", "--x", "1/3", "--trials", "10") == (
+        1,
+        "triangle (1,1), x = 1/3, trials = 10, seed = 0, stream = 2\n"
+        "polygon                                  count  empirical      exact        z\n"
+        "(0,0)-(1,1)                                 10   1.000000        1/2   +3.162\n"
+        "exact probabilities sum to 1: NO (1/2)\n"
+        "exact probabilities sum to 1/2, not 1\n",
+        "")
 
 
 def test_simulate_deterministic_output(capsys):

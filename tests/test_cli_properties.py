@@ -8,7 +8,6 @@ import argparse
 import csv
 import io
 import json
-import math
 from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,7 +23,6 @@ from latticechains.cli import (
     records_to_csv,
     records_to_json,
     unit_fraction,
-    z_threshold,
 )
 from latticechains.enumeration import enumerate_polygons
 from latticechains.geometry import PolygonStats, TriangleSpec
@@ -237,13 +235,6 @@ def test_count_arguments_accept_or_refuse(text):
     assert value is None or (type(value) is int and value >= 1)
     value = accepts_or_refuses(nonnegative_int, text)
     assert value is None or (type(value) is int and value >= 0)
-
-
-@SETTINGS
-@given(ARG_TEXT)
-def test_z_threshold_accepts_or_refuses(text):
-    value = accepts_or_refuses(z_threshold, text)
-    assert value is None or (type(value) is float and 0 <= value < math.inf)
 
 
 @SETTINGS

@@ -52,10 +52,10 @@ VALUES = {
                       {"vertices": VERTICES, "count": 1, "empirical": 0.1, "exact": Fraction(1, 10),
                        "z": 0.0, "flagged": False},
                       ComparisonRow(VERTICES, 1, 0.1, Fraction(1, 10), 0.0, True)),
-    "ComparisonReport": (lambda: ComparisonReport((ROW,), Fraction(1), 4.0),
-                         ("rows", "exact_total", "z_threshold"),
-                         {"rows": (ROW,), "exact_total": Fraction(1), "z_threshold": 4.0},
-                         ComparisonReport((ROW,), Fraction(1), 5.0)),
+    "ComparisonReport": (lambda: ComparisonReport((ROW,), Fraction(1)),
+                         ("rows", "exact_total"),
+                         {"rows": (ROW,), "exact_total": Fraction(1)},
+                         ComparisonReport((ROW,), Fraction(2))),
     "IdentityReport": (lambda: verify_all(2, 5), ("spec", "lhs", "rhs", "checks", "d_keys"),
                        {"spec": REPORT.spec, "lhs": REPORT.lhs, "rhs": REPORT.rhs,
                         "checks": REPORT.checks, "d_keys": REPORT.d_keys},
