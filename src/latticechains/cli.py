@@ -97,11 +97,19 @@ def records_from_csv(text: str) -> list:
 def _record_from_csv_row(row: list) -> PolygonRecord:
     """The record a row stands for, unchecked but for its cells: each scalar
     cell only in the canonical form the writer emits (so not 2.9, true, +1,
-    01 or ' 1'), the vertices cell through JSON."""
+    01 or ' 1'), the vertices cell through JSON. The cells are checked all
+    at once; on any fault, one at a time, so the first bad cell is named."""
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
     *cells, vertices = row
-    return PolygonRecord(_points(json.loads(vertices)), PolygonStats(*map(_canonical_int, cells)))
+    try:
+        values = list(map(int, cells))
+        canonical = list(map(str, values)) == cells
+    except ValueError:
+        canonical = False
+    if not canonical:
+        values = [_canonical_int(cell) for cell in cells]
+    return PolygonRecord(_points(json.loads(vertices)), PolygonStats(*values))
 
 
 def _canonical_int(cell: str) -> int:

@@ -25,7 +25,8 @@ output is grouped by increasing k and lexicographic within a group, and
 check each chain once: enumerate_D yields the bare steps after check_steps
 on their shear, and enumerate_polygons, the one listing of a triangle's
 family that enumerate, render and simulate read, a geometry.PolygonRecord
-per chain.
+per chain, from one check_steps pass that checks the chain and gives its
+vertices and chain sums.
 
 Slopes are compared by integer cross products throughout. With a step's
 first coordinate fixed, its second runs over a range whose two bounds are
@@ -66,7 +67,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator
 
-from .geometry import PolygonRecord, Steps, TriangleSpec, chain_stats, chain_vertices, check_steps
+from .geometry import PolygonRecord, Steps, TriangleSpec, chain_stats, check_steps
 
 
 def chains_D(i: int, n: int) -> Iterator[Steps]:
@@ -114,25 +115,32 @@ def _region(caps, sx, sy) -> dict:
     points (X', Y') with X' < X and Y' < Y <= caps[X - 1] <= caps[X' - 1],
     so every cell gets its whole family. Along one step's x the least y
     only grows and the column's room only shrinks, so the first x whose
-    range is empty ends the loop."""
+    range is empty ends the loop.
+
+    So a call records a chain exactly when its x = 1 range is non-empty,
+    and the walk makes only such calls: after the step (x, y) to
+    (X + x, Y + y), that range is y // x + 1 <= y' <= top[X + x + 1] - Y - y,
+    non-empty exactly when y // x < top[X + x + 1] - Y - y. The cap past the
+    last column is 0, so no call follows a step into the last column."""
     if any(a < b for a, b in zip(caps, caps[1:])):
         raise ValueError(f"column caps must never increase, got {list(caps)}")
-    top = (0, *caps)  # top[X] caps column X
-    rows = {x: {y: {} for y in range(x * sy // sx + 1, top[x] + 1)} for x in range(1, len(top))}
+    top = (0, *caps, 0)  # top[X] caps column X
+    rows = {x: {y: {} for y in range(x * sy // sx + 1, top[x] + 1)} for x in range(1, len(caps) + 1)}
 
     def walk(X, Y, px, py, key, k):
         k += 1
-        for x in range(1, len(top) - X):
+        for x in range(1, len(caps) + 1 - X):
             low = x * py // px + 1  # the least y with y/x > py/px
             high = top[X + x] - Y
             if low > high:
                 break
             row = rows[X + x]
+            room = top[X + x + 1] - Y  # the next column's, for the call's x = 1
             for y in range(low, high + 1):
                 term = (key + X * y - x * Y + gcd(x, y), k)
                 counts = row[Y + y]
                 counts[term] = counts.get(term, 0) + 1
-                if y // x < high - y:  # necessary for a steeper step to fit below the caps
+                if y // x < room - y:
                     walk(X + x, Y + y, x, y, term[0], k)
 
     walk(0, 0, sx, sy, 0, 0)
@@ -152,8 +160,8 @@ def enumerate_D(i: int, n: int) -> Iterator[Steps]:
 
 def enumerate_polygons(spec: TriangleSpec) -> Iterator[PolygonRecord]:
     """The full polygon family of the triangle (the 2-gon comes first), one
-    record per chain: each chain checked once by check_steps, its vertices
-    and stats computed from its steps."""
+    record per chain: one check_steps pass checks each chain and gives its
+    vertices and the sums its chain_stats reads."""
     for steps in sorted(chains_C(spec.i, spec.j), key=len):
-        check_steps(steps)
-        yield PolygonRecord(chain_vertices(steps), chain_stats(steps, spec))
+        vertices, area2, edge_gcds = check_steps(steps)
+        yield PolygonRecord(vertices, chain_stats(len(steps), area2, edge_gcds, spec))

@@ -7,10 +7,15 @@ from gcds and Pick's theorem. No floating point anywhere.
 A chain is its vertex tuple, from (0,0) to (i,j). The one chain rule,
 check_steps, the one check of a vertex chain, chain_steps, and of a chain
 of a given triangle, check_chain, the chain sums pair_cross_sum and
-pair_gcd_sum, the Pick arithmetic on them, chain_stats, a chain's
-vertices, chain_vertices, and a chain polygon's record, PolygonRecord,
-which enumerate_polygons lists and the record loaders check, are written
-here.
+pair_gcd_sum, the Pick arithmetic on them, chain_stats, and a chain
+polygon's record, PolygonRecord, which enumerate_polygons lists and the
+record loaders check, are written here.
+
+A record is written and loaded with one pass per chain: check_steps
+checks the steps, places the vertices and adds up both chain sums in one
+loop, and chain_steps takes a vertex chain's differences in one loop
+before it. The verification walks, whose chains need no check, read the
+sums through pair_cross_sum and pair_gcd_sum.
 """
 
 from __future__ import annotations
@@ -33,36 +38,64 @@ def _require_points(points) -> None:
             raise TypeError(f"a lattice point is an (x, y) tuple of ints, got {p!r}")
 
 
-def check_steps(steps: Steps) -> None:
-    """Raise ValueError unless steps is a chain: at least one step, each
-    (x, y) with x >= 1 and y >= 1, and slopes y/x strictly increasing, i.e.
+def check_steps(steps: Steps) -> tuple[tuple[Point, ...], int, int]:
+    """The vertices of the chain with these steps, (0,0) and the partial
+    sums, and its two chain sums, area2 and edge_gcds, as pair_cross_sum
+    and pair_gcd_sum give them, from one pass that checks the steps are a
+    chain. Raise ValueError unless they are: at least one step, each (x, y)
+    with x >= 1 and y >= 1, and slopes y/x strictly increasing, i.e.
     x1*y2 - x2*y1 > 0 for consecutive steps. A coordinate that is not an
-    int (bool included) is a TypeError, as it is for a lattice point."""
+    int (bool included) is a TypeError, as it is for a lattice point. The
+    first slope fault is raised after the pass, so a type or sign fault
+    anywhere is named first."""
     if not steps:
         raise ValueError("a chain needs at least one step")
+    vertices = [(0, 0)]
+    X = Y = area2 = edge_gcds = 0
+    px, py = 1, 0  # the seed slope 0, below every step with y >= 1
+    fault = None
     for x, y in steps:
         if type(x) is not int or type(y) is not int:
             raise TypeError(f"step coordinates must be ints, got ({x!r},{y!r})")
         if x < 1 or y < 1:
             raise ValueError(f"step ({x},{y}) must be positive in both coordinates")
-    for (x1, y1), (x2, y2) in zip(steps, steps[1:]):
-        if x1 * y2 - x2 * y1 <= 0:
-            raise ValueError(f"slopes must strictly increase: ({x1},{y1}) then ({x2},{y2})")
+        if px * y <= x * py and fault is None:
+            fault = f"slopes must strictly increase: ({px},{py}) then ({x},{y})"
+        # the step from (X, Y) adds X * y - x * Y to the cross sum
+        area2 += X * y - x * Y
+        edge_gcds += gcd(x, y)
+        X += x
+        Y += y
+        vertices.append((X, Y))
+        px, py = x, y
+    if fault:
+        raise ValueError(fault)
+    return tuple(vertices), area2, edge_gcds
 
 
-def chain_steps(vertices: tuple[Point, ...]) -> Steps:
-    """The steps between these vertices, once they pass the one check of a
-    vertex chain: each a lattice point, at least 2, the first (0,0), and the
-    differences a chain that check_steps accepts. Callers check the end."""
-    _require_points(vertices)
-    if len(vertices) < 2:
+def chain_steps(vertices: tuple[Point, ...]) -> tuple[Steps, int, int]:
+    """The steps between these vertices and their sums area2 and edge_gcds,
+    once the vertices pass the one check of a vertex chain: each a lattice
+    point, at least 2, the first (0,0), and the differences a chain that
+    check_steps accepts. Callers check the end."""
+    steps = []
+    ax = ay = 0  # so the first difference is the first vertex
+    for point in vertices:
+        # _require_points' test, inline as it runs per record; on a fault it
+        # raises with that function's message
+        if not (isinstance(point, tuple) and len(point) == 2
+                and type(point[0]) is int and type(point[1]) is int):
+            _require_points((point,))
+        bx, by = point
+        steps.append((bx - ax, by - ay))
+        ax, ay = bx, by
+    if len(steps) < 2:
         raise ValueError("a chain needs at least 2 vertices")
-    if vertices[0] != (0, 0):
+    if steps[0] != (0, 0):
         raise ValueError(f"a chain must start at (0,0), got {vertices[0]}")
-    # a list comprehension: on this per-polygon path a generator is slower
-    steps = tuple([(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])])
-    check_steps(steps)
-    return steps
+    steps = tuple(steps[1:])
+    _, area2, edge_gcds = check_steps(steps)
+    return steps, area2, edge_gcds
 
 
 def pair_cross_sum(steps: Steps) -> int:
@@ -78,17 +111,6 @@ def pair_cross_sum(steps: Steps) -> int:
 
 def pair_gcd_sum(steps: Steps) -> int:
     return sum(gcd(a, b) for a, b in steps)
-
-
-def chain_vertices(steps: Steps) -> tuple[Point, ...]:
-    """The vertices of the chain with these steps: (0,0) and the partial sums."""
-    x = y = 0
-    vertices = [(0, 0)]
-    for dx, dy in steps:
-        x += dx
-        y += dy
-        vertices.append((x, y))
-    return tuple(vertices)
 
 
 class FrozenSlots:
@@ -167,17 +189,17 @@ class TriangleSpec(FrozenSlots):
         return y > 0 and x < self.i and self.j * x - self.i * y > 0
 
 
-def check_chain(vertices: tuple[Point, ...], spec: TriangleSpec) -> Steps:
-    """The steps of a chain polygon of spec's triangle: vertices that pass
-    chain_steps and end at (i,j). The closing hypotenuse edge is implicit,
-    and a 2-vertex chain is the degenerate 2-gon equal to the hypotenuse
-    itself. Every intermediate vertex then has y >= 1 and x <= i - 1 and
+def check_chain(vertices: tuple[Point, ...], spec: TriangleSpec) -> tuple[Steps, int, int]:
+    """The steps and sums, as chain_steps gives them, of a chain polygon of
+    spec's triangle: vertices that pass chain_steps and end at (i,j). The
+    closing hypotenuse edge is implicit, and a 2-vertex chain is the
+    degenerate 2-gon equal to the hypotenuse itself. Every intermediate vertex then has y >= 1 and x <= i - 1 and
     lies strictly below the hypotenuse, each step before it flatter than
     each after."""
-    steps = chain_steps(vertices)
+    chain = chain_steps(vertices)
     if vertices[-1] != (spec.i, spec.j):
         raise ValueError(f"chain must end at ({spec.i},{spec.j}), got {vertices[-1]}")
-    return steps
+    return chain
 
 
 def triangle_interior_points(spec: TriangleSpec) -> list[Point]:
@@ -205,26 +227,23 @@ class PolygonStats(NamedTuple):
     exponent_doubled: int
 
 
-def chain_stats(steps: Steps, spec: TriangleSpec) -> PolygonStats:
-    """The invariants of the chain polygon with these steps in spec's
-    triangle, in O(k), from the chain sums over the steps. The steps are
-    not checked: pass a chain that check_steps accepts, ending at (i, j).
+def chain_stats(k: int, area2: int, edge_gcds: int, spec: TriangleSpec) -> PolygonStats:
+    """The invariants of the chain polygon of k steps in spec's triangle, in
+    O(1), from the chain sums check_steps gives for its steps. They are not
+    checked: pass those of a chain that check_steps accepts, ending at (i, j).
 
     The closing edge (i,j)->(0,0) adds nothing to the shoelace sum, so
-    area2 is pair_cross_sum over the steps, and the edge-gcd sum G is
-    pair_gcd_sum; the hypotenuse adds gcd(i,j) boundary points. Pick's
-    theorem then gives i(P), and TriangleSpec.interior_count gives the
+    area2 is the cross sum over the steps, pair_cross_sum, and the
+    edge-gcd sum G is pair_gcd_sum; the hypotenuse adds gcd(i,j) boundary
+    points. Pick's theorem then gives i(P), and TriangleSpec.interior_count gives the
     triangle's I_T. The triangle interior points outside P are those not
     inside P and not among the G - 1 chain points strictly between (0,0)
     and (i,j). The exponent is 2 * (i(P) + b(P) - (k - 1)). The 2-gon is
     the hypotenuse itself: no area, no interior, u = I_T, exponent 2g + 2.
     """
-    k = len(steps)
     if k == 1:
         return PolygonStats(k=1, v_count=2, interior=0, boundary=spec.g + 1, area2=0,
                             u=spec.interior_count, exponent_doubled=2 * spec.g + 2)
-    area2 = pair_cross_sum(steps)
-    edge_gcds = pair_gcd_sum(steps)
     boundary = edge_gcds + spec.g
     interior = (area2 - boundary + 2) // 2
     u = spec.interior_count - interior - (edge_gcds - 1)
@@ -244,8 +263,8 @@ _json_fields = itemgetter(*FIELDS)
 
 class PolygonRecord(NamedTuple):
     """A chain polygon as enumerate, render and simulate read it: its
-    vertices and the chain_stats of their steps, so every statistic is
-    recomputable."""
+    vertices and the chain_stats of their steps' sums, so every statistic
+    is recomputable."""
 
     vertices: tuple
     stats: PolygonStats
@@ -268,19 +287,19 @@ class PolygonRecord(NamedTuple):
     def validate(self, specs: dict | None = None) -> None:
         """The one check of a record: every stats field an int (bool refused:
         a writer would emit True as the JSON literal true), the vertices a
-        chain that chain_steps accepts, and chain_stats of its steps
+        chain that chain_steps accepts, and chain_stats of the sums it gives
         equal to the stats, else the record is corrupt. A loader passes one
         `specs` dict for all its records: one triangle per distinct end."""
         vertices, stats = self
         for value in stats:
             if type(value) is not int:
                 raise TypeError(f"stats fields must be ints, got {value!r}")
-        steps = chain_steps(vertices)
+        steps, area2, edge_gcds = chain_steps(vertices)
         if specs is None:
             specs = {}
         end = vertices[-1]
         spec = specs.get(end) or specs.setdefault(end, TriangleSpec(*end))
-        if chain_stats(steps, spec) != stats:
+        if chain_stats(len(steps), area2, edge_gcds, spec) != stats:
             raise ValueError(f"record fields disagree with recomputation: {self}")
 
 
@@ -292,8 +311,9 @@ def _points(raw) -> tuple:
 # no command calls this; it stays while perfbench wraps it (ROADMAP item 5)
 def polygon_stats(vertices: tuple[Point, ...], spec: TriangleSpec) -> PolygonStats:
     """The invariants of the chain polygon with these vertices, once
-    check_chain accepts them: chain_stats of its steps."""
-    return chain_stats(check_chain(vertices, spec), spec)
+    check_chain accepts them: chain_stats of its steps' sums."""
+    steps, area2, edge_gcds = check_chain(vertices, spec)
+    return chain_stats(len(steps), area2, edge_gcds, spec)
 
 
 def lower_hull(points) -> tuple[Point, ...]:

@@ -152,11 +152,16 @@ def mask_decoder(num: int, den: int, npoints: int):
     tables = [fragments(first, width) for first in range(0, last, width)]
     tables.append(fragments(last, npoints - last))
     head, rest = tables[0], [(table, chunk ** c) for c, table in enumerate(tables[1:], 1)]
+    middle, tail = rest[:-1], rest[-1:]
 
     def decode(residues: list) -> list:
         masks = [head[r % chunk] for r in residues]
-        for table, power in rest:
+        for table, power in middle:
             masks = [m | table[r // power % chunk] for m, r in zip(masks, residues)]
+        # r < den**npoints, so r // power < den**(npoints - last) <= chunk
+        # in the last pass: no % chunk
+        for table, power in tail:
+            masks = [m | table[r // power] for m, r in zip(masks, residues)]
         return masks
 
     return decode

@@ -36,7 +36,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 WALK_TESTS = ("tests/test_enumeration.py", "tests/test_verification.py")
+CLI = "latticechains/cli.py"
 ENUMERATION = "latticechains/enumeration.py"
+GEOMETRY = "latticechains/geometry.py"
 MONTECARLO = "latticechains/montecarlo.py"
 MONTECARLO_TESTS = ("tests/test_montecarlo.py",)
 POLYALGEBRA = "latticechains/polyalgebra.py"
@@ -69,7 +71,9 @@ MUTANTS = (
     Mutant("region-seed-C", ENUMERATION,
            "_region(caps, 1, 0)", "_region(caps, 1, 1)", WALK_TESTS),
     Mutant("region-prune-minus-1", ENUMERATION,
-           "if y // x < high - y:", "if y // x < high - y - 1:", WALK_TESTS),
+           "if y // x < room - y:", "if y // x < room - y - 1:", WALK_TESTS),
+    Mutant("region-prune-this-column", ENUMERATION,
+           "room = top[X + x + 1] - Y", "room = top[X + x] - Y", WALK_TESTS),
     Mutant("region-low-bound-equal", ENUMERATION,
            "low = x * py // px + 1", "low = x * py // px", WALK_TESTS),
     Mutant("region-low-bound-plus-2", ENUMERATION,
@@ -83,8 +87,18 @@ MUTANTS = (
     Mutant("region-k-fixed", ENUMERATION,
            "k += 1", "k += 0", WALK_TESTS),
     Mutant("region-x-range-minus-1", ENUMERATION,
-           "for x in range(1, len(top) - X):", "for x in range(1, len(top) - X - 1):",
+           "for x in range(1, len(caps) + 1 - X):", "for x in range(1, len(caps) - X):",
            WALK_TESTS),
+    # the one pass over a chain: its slope rule, the fault it names, and
+    # the CSV loader's check of its cells all at once
+    Mutant("check-steps-slope-less", GEOMETRY,
+           "if px * y <= x * py", "if px * y < x * py", ("tests/test_enumeration.py",)),
+    Mutant("check-steps-last-slope-fault", GEOMETRY,
+           "if px * y <= x * py and fault is None:", "if px * y <= x * py:",
+           ("tests/test_cli_properties.py",)),
+    Mutant("csv-cells-no-canonical-compare", CLI,
+           "canonical = list(map(str, values)) == cells", "canonical = True",
+           ("tests/test_cli.py",)),
     # the coin loop: stream 2's coin rule, in a table and with none, and the
     # last chunk's place in the mask
     Mutant("coin-table-less-equal", MONTECARLO,

@@ -599,6 +599,18 @@ def test_loaders_name_the_malformed_record(load, text):
         load(text)
 
 
+@pytest.mark.parametrize("cells,message", [
+    ("+1,2,x,2,0,1,4", "integer cell '+1' is not in canonical form"),
+    ("1,2,x,02,0,1,4", "invalid literal for int() with base 10: 'x'"),
+    ("1,02,0,2,0,1,+4", "integer cell '02' is not in canonical form"),
+    ("1,2,0,2,0,1,-0", "integer cell '-0' is not in canonical form"),
+])
+def test_csv_loader_names_the_first_bad_cell(cells, message):
+    with pytest.raises(ValueError) as refusal:
+        records_from_csv(CSV_HEADER_LINE + cells + ',"[[0,0],[2,3]]"\n')
+    assert str(refusal.value) == "record 1: " + message
+
+
 def test_json_loader_rejects_non_list():
     with pytest.raises(ValueError):
         records_from_json('{"k": 1}')

@@ -2,7 +2,9 @@
 command-line values, and for the record files it writes. Every input is
 either accepted or refused with a ValueError; none may escape as another
 exception. Each writer gives its standard-library oracle's bytes, and the
-record check accepts what its longhand oracle accepts."""
+record check and the chain checks under it, check_steps and chain_steps,
+give what their longhand oracles give: the same result, or a refusal of
+the same type with the same message."""
 
 import argparse
 import csv
@@ -25,8 +27,8 @@ from latticechains.cli import (
     unit_fraction,
 )
 from latticechains.enumeration import enumerate_polygons
-from latticechains.geometry import PolygonStats, TriangleSpec
-from record_oracles import accepts, validate_oracle
+from latticechains.geometry import PolygonStats, TriangleSpec, chain_steps, check_steps
+from record_oracles import outcome, steps_oracle, validate_oracle, vertices_oracle
 from writer_oracles import csv_oracle, json_oracle
 
 # derandomized so the suite runs the same examples every time
@@ -102,7 +104,113 @@ def test_validate_accepts_every_record_of_the_family():
 @SETTINGS
 @given(tampered_records())
 def test_validate_accepts_what_the_polygon_route_accepts(record):
-    assert accepts(PolygonRecord.validate, record) == accepts(validate_oracle, record)
+    assert outcome(PolygonRecord.validate, record) == outcome(validate_oracle, record)
+
+
+TAMPERS = ("move", "coordinate", "item", "drop", "repeat", "swap")
+
+
+def tamper(draw, items: list, kinds=TAMPERS) -> tuple:
+    """items, steps or vertices, with up to three tampers of these kinds: a
+    coordinate moved by up to 2 or replaced, an item replaced, dropped or
+    repeated, or two items swapped. So a chain often has several faults."""
+    for _ in range(draw(st.integers(0, 3))):
+        if not items:
+            break
+        index = draw(st.integers(0, len(items) - 1))
+        kind = draw(st.sampled_from(kinds))
+        item = items[index]
+        if kind in ("move", "coordinate") and isinstance(item, tuple) and len(item) == 2:
+            point = list(item)
+            side = draw(st.integers(0, 1))
+            if kind == "move" and type(point[side]) is int:
+                point[side] += draw(st.integers(-2, 2))
+            else:
+                point[side] = draw(VALUES)
+            items[index] = tuple(point)
+        elif kind == "item":
+            items[index] = draw(st.tuples(VALUES, VALUES, VALUES) | st.lists(VALUES, max_size=3) | VALUES)
+        elif kind == "drop":
+            del items[index]
+        elif kind == "repeat":
+            items.insert(index, item)
+        elif kind == "swap":
+            other = draw(st.integers(0, len(items) - 1))
+            items[index], items[other] = items[other], items[index]
+    return tuple(items)
+
+
+SMALL_FAMILY = [record for record in FAMILY if max(record.vertices[-1]) <= 6]
+
+
+@st.composite
+def tampered_steps(draw):
+    return tamper(draw, list(chain_steps(draw(st.sampled_from(SMALL_FAMILY)).vertices)[0]))
+
+
+@st.composite
+def tampered_vertices(draw):
+    """A chain's vertices, tampered; or, for more slope faults, the partial
+    sums of its steps with int tampers, tampered."""
+    vertices = draw(st.sampled_from(SMALL_FAMILY)).vertices
+    if draw(st.booleans()):
+        steps = tamper(draw, list(chain_steps(vertices)[0]), ("move", "drop", "repeat", "swap"))
+        vertices = [(0, 0)]
+        for x, y in steps:
+            vertices.append((vertices[-1][0] + x, vertices[-1][1] + y))
+    return tamper(draw, list(vertices))
+
+
+@SETTINGS
+@given(tampered_steps())
+def test_check_steps_refuses_as_its_oracle_refuses(steps):
+    assert outcome(check_steps, steps) == outcome(steps_oracle, steps)
+
+
+@SETTINGS
+@given(tampered_vertices())
+def test_chain_steps_refuses_as_its_oracle_refuses(vertices):
+    assert outcome(chain_steps, vertices) == outcome(vertices_oracle, vertices)
+
+
+@SETTINGS
+@given(tampered_vertices(), st.sampled_from(FAMILY), st.integers(0, 9), VALUES)
+def test_validate_refuses_as_its_oracle_refuses(vertices, record, field, value):
+    # tampered vertices under a family record's stats, as they are or with
+    # one field replaced
+    stats = list(record.stats)
+    if field < len(stats):
+        stats[field] = value
+    tampered = PolygonRecord(vertices, PolygonStats(*stats))
+    assert outcome(PolygonRecord.validate, tampered) == outcome(validate_oracle, tampered)
+
+
+def test_the_oracles_name_faults_in_their_order():
+    # several faults at once: each check names the one its oracle names
+    bad_stats = PolygonStats(1, 2, 0, 2, 0.5, 0, 4)
+    cases = [
+        # a slope, a sign and a type fault: the sign fault, first of the last two
+        (check_steps, steps_oracle, ((1, 2), (1, 1), (1, 0), (1.5, 2)),
+         (ValueError, "step (1,0) must be positive in both coordinates")),
+        # three slope faults: the first
+        (check_steps, steps_oracle, ((1, 2), (1, 1), (1, 1), (3, 1)),
+         (ValueError, "slopes must strictly increase: (1,2) then (1,1)")),
+        (check_steps, steps_oracle, ((1, 1), (True, 3), (0, 1)),
+         (TypeError, "step coordinates must be ints, got (True,3)")),
+        # a non-point after a wrong origin
+        (chain_steps, vertices_oracle, ((1, 1), (0, 0), [2, 2]),
+         (TypeError, "a lattice point is an (x, y) tuple of ints, got [2, 2]")),
+        (chain_steps, vertices_oracle, ((1, 1),),
+         (ValueError, "a chain needs at least 2 vertices")),
+        # the steps (1,2), (1,1), (0,3), (1,0): a slope fault, then sign faults
+        (chain_steps, vertices_oracle, ((0, 0), (1, 2), (2, 3), (2, 6), (3, 6)),
+         (ValueError, "step (0,3) must be positive in both coordinates")),
+        # a float field before a non-point
+        (PolygonRecord.validate, validate_oracle, PolygonRecord(((0, 0), [1, 1]), bad_stats),
+         (TypeError, "stats fields must be ints, got 0.5")),
+    ]
+    for check, oracle, arg, refusal in cases:
+        assert outcome(check, arg) == outcome(oracle, arg) == refusal, arg
 
 
 def test_validate_agrees_with_the_polygon_route_on_every_one_step_tamper():
@@ -124,7 +232,7 @@ def test_validate_agrees_with_the_polygon_route_on_every_one_step_tamper():
             for changed in (value + 1, float(value), bool(value)):
                 records.append(PolygonRecord(vertices, stats._replace(**{field: changed})))
         for r in records:
-            assert accepts(PolygonRecord.validate, r) == accepts(validate_oracle, r), r
+            assert outcome(PolygonRecord.validate, r) == outcome(validate_oracle, r), r
 
 
 def same_integer(value, original) -> bool:

@@ -2,6 +2,7 @@
 with Fractions, then compared against the DFS enumerators."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -74,7 +75,7 @@ def unshear(steps):
 
 def c_steps(i, j):
     """The C family of (i, j), as enumerate_polygons lists it."""
-    return [chain_steps(p.vertices) for p in enumerate_polygons(TriangleSpec(i, j))]
+    return [chain_steps(p.vertices)[0] for p in enumerate_polygons(TriangleSpec(i, j))]
 
 
 def test_frozen_D_examples():
@@ -212,16 +213,27 @@ def partial_sums(steps):
     return tuple(verts)
 
 
+def test_check_steps_gives_each_chains_vertices_and_sums_to_10():
+    # its one pass against the partial sums and the two chain sums
+    chains = 0
+    for i, j in product(range(1, 11), repeat=2):
+        for steps in chains_C(i, j):
+            chains += 1
+            assert check_steps(steps) == (partial_sums(steps), pair_cross_sum(steps),
+                                          pair_gcd_sum(steps)), steps
+    assert chains == 3958
+
+
 def test_composition_polygon_round_trip():
     # a polygon's steps are its vertex differences, and its vertices the
     # partial sums of its steps; the 2-gon is the single step (i, j)
     spec = TriangleSpec(3, 4)
     vertices = ((0, 0), (1, 1), (3, 4))
-    steps = check_chain(vertices, spec)
+    steps, _, _ = check_chain(vertices, spec)
     assert steps == ((1, 1), (2, 3))
     assert partial_sums(steps) == vertices
     two_gon = next(enumerate_polygons(spec))
-    assert two_gon.stats.k == 1 and chain_steps(two_gon.vertices) == ((3, 4),)
+    assert two_gon.stats.k == 1 and chain_steps(two_gon.vertices)[0] == ((3, 4),)
 
 
 def test_enumerate_polygons_counts():
@@ -270,6 +282,42 @@ def test_the_interior_count_never_decreases_in_either_leg():
             assert c <= count[m, n + 1]
 
 
+def region_walk_calls(region, arg) -> int:
+    """How many times region(arg) calls its inner walk."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "walk"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        region(arg)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("region,arg,family,seed,caps", [
+    (region_C, [11 - X for X in range(1, 11)], chains_C, (1, 0), [11 - X for X in range(1, 11)]),
+    (region_C, [7, 7, 6, 3, 3, 1], chains_C, (1, 0), [7, 7, 6, 3, 3, 1]),
+    (region_D, 9, chains_D, (1, 1), [9] * 8),
+], ids=["C-sweep-11", "C-staircase", "D-sweep-9"])
+def test_the_region_walk_makes_only_calls_that_record_a_chain(region, arg, family, seed, caps):
+    # one call from the origin, then one per chain that a steeper step
+    # extends inside the caps, and none for a chain that cannot extend
+    def extends(X, Y, x, y):
+        return any(b * x > a * y for a in range(1, len(caps) + 1 - X)
+                   for b in range(1, caps[X + a - 1] - Y + 1))
+
+    extensible = sum(extends(X, Y, *steps[-1])
+                     for X in range(1, len(caps) + 1)
+                     for Y in range(X * seed[1] // seed[0] + 1, caps[X - 1] + 1)
+                     for steps in family(X, Y))
+    assert region_walk_calls(region, arg) == 1 + extensible
+
+
 def test_region_C_refuses_caps_that_increase():
     with pytest.raises(ValueError, match="never increase"):
         region_C([3, 2, 3])
@@ -302,7 +350,7 @@ def test_doubled_exponent_matches_polygon_counts(n):
         spec = TriangleSpec(i, n - i)
         g = gcd(i, n - i)
         for d, p in zip(enumerate_D(i, n), enumerate_polygons(spec), strict=True):
-            assert shear(d) == chain_steps(p.vertices)
+            assert shear(d) == chain_steps(p.vertices)[0]
             via_steps = 2 * (1 - len(d)) + pair_cross_sum(d) + pair_gcd_sum(d)
             stats = p.stats
             via_counts = 2 * (stats.interior + stats.boundary - (len(d) - 1)) - 2 - g

@@ -241,7 +241,7 @@ def test_chain_polygon_validation():
         check_chain(((0, 0), (2, 0), (3, 4)), spec)  # flat edge
     with pytest.raises(ValueError):
         check_chain(((0, 0),), spec)
-    assert check_chain(((0, 0), (2, 1), (3, 4)), spec) == ((2, 1), (1, 3))
+    assert check_chain(((0, 0), (2, 1), (3, 4)), spec) == (((2, 1), (1, 3)), 5, 2)
 
 
 @pytest.mark.parametrize("vertex", [(1.0, 1), [1, 1], (1, 1, 0)],

@@ -262,7 +262,7 @@ def count_validations(monkeypatch) -> Counter:
 
     def counting_steps(steps):
         counts["check_steps"] += 1
-        check_steps(steps)
+        return check_steps(steps)
 
     def counting_chain(vertices, spec):
         counts["check_chain"] += 1
